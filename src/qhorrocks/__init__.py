@@ -10,7 +10,7 @@ along with a CLI, text file formats and a corpus of worked fixture matrices.
 """
 
 from .exactla import DEFAULT_PRIME, Matrix, NoSolution, PrimeField, RationalField, get_field
-from .bipoly import BiForm, ParseError, monomial_basis, mult_matrix, parse_biform, sq_piece
+from .bipoly import BiForm, ParseError, monomial_basis, parse_biform, sq_piece
 from .linecoh import (
     FormMatrix,
     coh_action,

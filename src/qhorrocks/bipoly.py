@@ -5,7 +5,8 @@ x0, x1, x2, x3 to su, sv, tu, tv.  The coordinate ring of the quadric is
 never represented as a quotient ring: its degree-d piece is the space of
 forms of bidegree (d, d), where the defining relation holds identically.
 This removes every Groebner computation from the package; multiplying by a
-form is a matrix in the fixed monomial bases below.
+form is a matrix in the fixed monomial bases below (`linecoh.coh_action`
+with i = 0).
 
 A monomial of bidegree (a, b) is s^i t^(a-i) u^j v^(b-j) and is stored as
 the exponent pair (i, j).  Bases are ordered with i descending then j
@@ -17,8 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .exactla import Matrix
 
 BiDegree = tuple[int, int]
 
@@ -186,19 +185,6 @@ _VARIABLES = {
     "x2": ((1, 1), {(0, 1): 1}),
     "x3": ((1, 1), {(0, 0): 1}),
 }
-
-
-def mult_matrix(f: BiForm, src: BiDegree) -> Matrix:
-    """Matrix of multiplication by f from bidegree src to src + deg(f)."""
-    field = f.field
-    dst = deg_add(src, f.deg)
-    src_basis = monomial_basis(src)
-    dst_idx = monomial_index(dst)
-    m = field.zeros(space_dim(dst), space_dim(src))
-    for col, (i, j) in enumerate(src_basis):
-        for (fi, fj), c in f.coeffs:
-            m[dst_idx[(i + fi, j + fj)], col] = field.scalar(m[dst_idx[(i + fi, j + fj)], col] + c)
-    return Matrix(field, m)
 
 
 _TOKEN = re.compile(r"\s*([+-]|[0-9]+(?:/[0-9]+)?|x[0-3]|[stuv]|\^|\*)")

@@ -11,12 +11,14 @@ reproducible across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 DEFAULT_PRIME = 32003
+MAX_PRIME = 3_037_000_499  # (p - 1)**2 < 2**63: a row update in _rref cannot overflow int64
 
 
 class NoSolution(Exception):
@@ -28,12 +30,16 @@ class FieldMismatch(TypeError):
 
 
 class PrimeField:
-    """The field F_p for an (assumed) prime p, elements stored as ints in [0, p)."""
+    """The field F_p for a prime p <= MAX_PRIME, elements stored as ints in [0, p)."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p < 2:
-            raise ValueError(f"not a usable prime: {p}")
+        if not 2 <= p <= MAX_PRIME:
+            raise ValueError(f"prime out of range 2..{MAX_PRIME}: {p}")
+        if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"not a prime: {p}")
         self.p = p
+        # inner-dimension block whose products, plus one residue, stay below 2**63
+        self._block = (2**63 - p) // (p - 1) ** 2
 
     @property
     def name(self) -> str:
@@ -59,8 +65,11 @@ class PrimeField:
         return np.mod(a, self.p)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # entries < p ~ 2**15 and inner dims stay far below 2**30, so int64 is safe
-        return np.mod(a @ b, self.p)
+        step = self._block
+        out = np.mod(a[:, :step] @ b[:step], self.p)
+        for s in range(step, a.shape[1], step):
+            out = np.mod(out + a[:, s : s + step] @ b[s : s + step], self.p)
+        return out
 
     def inv(self, x) -> int:
         x = int(x) % self.p
@@ -264,30 +273,13 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
-    # -- elimination kernels -------------------------------------------
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns; first-nonzero pivoting."""
-        r, pivots = _rref(self.field, self.a)
-        return Matrix(self.field, r), pivots
-
+    # -- elimination read-outs -----------------------------------------
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref(self.field, self.a)[1])
 
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of the right kernel, one vector per non-pivot column."""
-        r, pivots = _rref(self.field, self.a)
-        field = self.field
-        pivset = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivset]
-        out = []
-        one = field.scalar(1)
-        for f in free:
-            v = field.zeros(self.cols, 1)[:, 0]
-            v[f] = one
-            for i, pc in enumerate(pivots):
-                v[pc] = field.neg(r[i, f])
-            out.append(v)
-        return out
+        return list(_kernel(self.field, self.a)[0])
 
     def kernel_matrix(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.kernel_basis(), rows_dim=self.cols)
@@ -314,9 +306,7 @@ class Matrix:
 
     def column_space_basis(self) -> "Matrix":
         """Canonical basis of the column span (rref of the transpose, as columns)."""
-        r, pivots = _rref(self.field, self.a.T.copy())
-        cols = [r[i, :] for i in range(len(pivots))]
-        return Matrix.from_columns(self.field, cols, rows_dim=self.rows)
+        return span_basis(self.field, self.a.T, self.rows)
 
 
 def _rref(field, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -344,6 +334,27 @@ def _rref(field, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     return a, tuple(pivots)
 
 
+def _kernel(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Right kernel basis as the rows of an array, and the free column each row is 1 at."""
+    r, pivots = _rref(field, a)
+    pivset = set(pivots)
+    free = [j for j in range(a.shape[1]) if j not in pivset]
+    k = field.zeros(len(free), a.shape[1])
+    k[range(len(free)), free] = field.scalar(1)
+    for i, pc in enumerate(pivots):
+        k[:, pc] = field.reduce(-r[i, free])
+    return k, free
+
+
+def _nonzero_rows(field, vectors, n: int) -> np.ndarray:
+    """The nonzero vectors as the rows of an array with n columns."""
+    vecs = [v for v in vectors if np.any(np.asarray(v) != 0)]
+    rows = field.zeros(len(vecs), n)
+    for i, v in enumerate(vecs):
+        rows[i, :] = v
+    return rows
+
+
 def hstack(mats: list[Matrix]) -> Matrix:
     mats = list(mats)
     return Matrix(mats[0].field, np.concatenate([m.a for m in mats], axis=1))
@@ -357,44 +368,22 @@ def vstack(mats: list[Matrix]) -> Matrix:
 def quotient_data(field, ambient_dim: int, subspace: list[np.ndarray]) -> tuple[Matrix, Matrix]:
     """Coset data for ambient / span(subspace).
 
-    Returns (reps, proj): `reps` has one column per coset basis vector (they are
-    standard basis vectors at the non-pivot coordinates of the subspace rref),
-    and `proj` is the surjection ambient -> quotient with kernel exactly the
-    span.  By construction proj @ reps is the identity.
+    Returns (reps, proj): `proj` is the surjection ambient -> quotient whose
+    rows are the kernel basis of the subspace vectors stacked as rows, so its
+    kernel is exactly the span; `reps` has one column per coset basis vector,
+    the standard basis vector at that kernel vector's free coordinate.  By
+    construction proj @ reps is the identity.
     """
-    vecs = [np.asarray(v) for v in subspace if np.any(np.asarray(v) != 0)]
-    if not vecs:
-        return Matrix.identity(field, ambient_dim), Matrix.identity(field, ambient_dim)
-    rows = field.zeros(len(vecs), ambient_dim)
-    for i, v in enumerate(vecs):
-        rows[i, :] = v
-    r, pivots = _rref(field, rows)
-    pivset = set(pivots)
-    free = [j for j in range(ambient_dim) if j not in pivset]
-    q = len(free)
-    proj = field.zeros(q, ambient_dim)
-    one = field.scalar(1)
-    for i, f in enumerate(free):
-        proj[i, f] = one
-        for k, pc in enumerate(pivots):
-            proj[i, pc] = field.neg(r[k, f])
-    reps = field.zeros(ambient_dim, q)
-    for i, f in enumerate(free):
-        reps[f, i] = one
-    return Matrix(field, reps), Matrix(field, proj)
+    k, free = _kernel(field, _nonzero_rows(field, subspace, ambient_dim))
+    reps = field.zeros(ambient_dim, len(free))
+    reps[free, range(len(free))] = field.scalar(1)
+    return Matrix(field, reps), Matrix(field, k)
 
 
 def span_basis(field, vectors, ambient_dim: int) -> Matrix:
     """Canonical basis (rref rows, as columns) of the span of the given vectors."""
-    vecs = [np.asarray(v) for v in vectors]
-    vecs = [v for v in vecs if np.any(v != 0)]
-    if not vecs:
-        return Matrix.zeros(field, ambient_dim, 0)
-    rows = field.zeros(len(vecs), ambient_dim)
-    for i, v in enumerate(vecs):
-        rows[i, :] = v
-    r, pivots = _rref(field, rows)
-    return Matrix.from_columns(field, [r[i, :] for i in range(len(pivots))], rows_dim=ambient_dim)
+    r, pivots = _rref(field, _nonzero_rows(field, vectors, ambient_dim))
+    return Matrix(field, r[: len(pivots)].T.copy())
 
 
 def preimage_basis(m: Matrix, target_span: Matrix) -> Matrix:
@@ -412,15 +401,6 @@ def subspace_equal(a: Matrix, b: Matrix) -> bool:
     sa = span_basis(a.field, list(a.columns()), a.rows)
     sb = span_basis(b.field, list(b.columns()), b.rows)
     return sa == sb
-
-
-def subspace_contains(a: Matrix, vectors) -> bool:
-    """Whether every given vector lies in the column span of `a`."""
-    try:
-        a.solve_matrix(Matrix.from_columns(a.field, [np.asarray(v) for v in vectors], rows_dim=a.rows))
-        return True
-    except NoSolution:
-        return False
 
 
 def random_matrix(field, rng, rows: int, cols: int) -> Matrix:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import Matrix, quotient_data
+from .exactla import FieldMismatch, Matrix, quotient_data
 from .bipoly import BiForm, monomial_basis, monomial_factor_path
 from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, induced_h, split_dims
 from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed
@@ -110,10 +110,6 @@ class FinLengthModule:
         return self
 
 
-def validate(m: FinLengthModule) -> list[str]:
-    return m.validation_report()
-
-
 def minimal_generators(m: FinLengthModule) -> dict[int, tuple[Matrix, Matrix]]:
     """Per degree: (coset representative columns, projection) of M_d / (x . M_{d-1})."""
     out = {}
@@ -145,6 +141,7 @@ class MinimalPresentation:
     gen_degrees: tuple[int, ...]
     rel_degrees: tuple[int, ...]
     verified_window: tuple[int, int]
+    generators: list[tuple[int, np.ndarray]]  # (degree, representative in M_d), in L0 order
 
     def pi_at(self, d: int) -> Matrix:
         if d in self.pi:
@@ -186,7 +183,7 @@ def minimal_presentation(m: FinLengthModule, escalations: int = 2) -> MinimalPre
     if m.is_zero:
         empty = FormMatrix.zero(fld, (), ())
         pres = KerPresentation(empty, verify=False)
-        return MinimalPresentation(m, (), (), empty, pres, {}, (), (), (0, -1))
+        return MinimalPresentation(m, (), (), empty, pres, {}, (), (), (0, -1), [])
     gens = minimal_generators(m)
     bound = m.hi + 3
     for attempt in range(escalations + 1):
@@ -242,7 +239,7 @@ def _presentation_attempt(m: FinLengthModule, gens, bound: int):
             return None
     fpres = KerPresentation(psi, verify=False)
     return MinimalPresentation(
-        m, L1, L0, psi, fpres, pi, gen_degrees, rel_degrees, (m.lo, bound + 2)
+        m, L1, L0, psi, fpres, pi, gen_degrees, rel_degrees, (m.lo, bound + 2), gen_list
     )
 
 
@@ -494,29 +491,43 @@ def _vec_to_maps(fld, vec, layout) -> dict[int, Matrix]:
     return out
 
 
+def _sample_iso(m1: FinLengthModule, basis, layout, trials: int, rng, accept):
+    """First random combination of `basis` that is invertible in every degree and accepted.
+
+    Each trial draws one scalar per basis vector, in basis order.  Returns
+    (trial number, degreewise maps, accept(maps)) for the first trial whose
+    maps are invertible and where accept returns something other than None;
+    None if no trial succeeds.
+    """
+    if not basis:
+        return None
+    fld = m1.field
+    for trial in range(1, trials + 1):
+        vec = fld.zeros(len(basis[0]), 1)[:, 0]
+        for b in basis:
+            vec = fld.reduce(vec + b * fld.random_scalar(rng))
+        maps = _vec_to_maps(fld, vec, layout)
+        if all(maps[d].rank() == m1.dim(d) for d in m1.support()):
+            found = accept(maps)
+            if found is not None:
+                return trial, maps, found
+    return None
+
+
 def module_iso(m1: FinLengthModule, m2: FinLengthModule, trials: int = 200, rng=None):
     """A degreewise isomorphism commuting with all four operators, or None.
 
-    The commuting maps form a linear space; random combinations are sampled
-    until one is invertible in every degree.  None therefore means "no
-    isomorphism found", which is conclusive only when the dimensions already
-    disagree.
+    The commuting maps form a linear space, and random combinations are
+    sampled until one is invertible in every degree.  None therefore means
+    "no isomorphism found", which is conclusive only when the dimensions
+    already disagree.
     """
-    if {d: m1.dim(d) for d in m1.support()} != {d: m2.dim(d) for d in m2.support()}:
+    if m1.field != m2.field:
+        raise FieldMismatch(f"{m1.field} vs {m2.field}")
+    if m1.dims != m2.dims:
         return None
     if m1.is_zero:
         return {}
-    rng = rng or random.Random(11)
-    fld = m1.field
     basis, layout = _commuting_space(m1, m2)
-    if not basis:
-        return None
-    for _ in range(trials):
-        vec = fld.zeros(len(basis[0]), 1)[:, 0]
-        for b in basis:
-            c = fld.random_scalar(rng)
-            vec = fld.reduce(vec + b * c)
-        maps = _vec_to_maps(fld, vec, layout)
-        if all(maps[d].rank() == m1.dim(d) for d in m1.support()):
-            return maps
-    return None
+    found = _sample_iso(m1, basis, layout, trials, rng or random.Random(11), lambda maps: maps)
+    return None if found is None else found[1]

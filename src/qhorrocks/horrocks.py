@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import Matrix, NoSolution, preimage_basis, quotient_data, span_basis, subspace_equal
+from .exactla import FieldMismatch, Matrix, NoSolution, preimage_basis, quotient_data, span_basis, subspace_equal
 from .bipoly import BiForm
 from .linecoh import (
     FormMatrix,
@@ -44,6 +44,7 @@ from .linecoh import (
     is_acm_twist,
     is_free_twist,
     spinor_kind,
+    spinor_shift,
     split_dim,
 )
 from .presheaf import (
@@ -63,8 +64,8 @@ from .flmod import (
     ModelledModule,
     TriDiagModule,
     _commuting_space,
+    _sample_iso,
     _vec_to_maps,
-    minimal_generators,
     minimal_presentation,
     module_from_bundle,
     sigma_modules,
@@ -108,37 +109,25 @@ class HorrocksTriple:
     @staticmethod
     def build(m: FinLengthModule, w_vectors: dict[int, list], v_vectors: dict[int, list]) -> "HorrocksTriple":
         pres = minimal_presentation(m)
-        t = sigma_modules(pres)
-        fld = m.field
-        w = {}
-        for d, vecs in w_vectors.items():
-            if vecs:
-                dim = t.m10[d].dim if d in t.m10 else 0
-                _check_lengths("W", d, vecs, dim)
-                w[d] = span_basis(fld, [np.asarray(v) for v in vecs], dim)
-        v = {}
-        for d, vecs in v_vectors.items():
-            if vecs:
-                dim = t.m01[d].dim if d in t.m01 else 0
-                _check_lengths("V", d, vecs, dim)
-                v[d] = span_basis(fld, [np.asarray(v_) for v_ in vecs], dim)
-        triple = HorrocksTriple(pres, t, w, v)
-        triple.validate()
-        return triple
+        triple = HorrocksTriple(pres, sigma_modules(pres), {}, {})
+        for side, name, vectors in ((1, "W", w_vectors), (2, "V", v_vectors)):
+            fam, sub = _side(triple, side)
+            for d, vecs in vectors.items():
+                if vecs:
+                    dim = fam[d].dim if d in fam else 0
+                    _check_lengths(name, d, vecs, dim)
+                    sub[d] = span_basis(m.field, [np.asarray(v) for v in vecs], dim)
+        return triple.validate()
 
     def validate(self) -> "HorrocksTriple":
-        for d, basis in self.W.items():
-            if d not in self.T.m10 and basis.cols:
-                raise ValueError(f"W touches the empty companion degree {d}")
-            for var in ("u", "v"):
-                if not (self.T.op(var, "10", d) @ basis).is_zero():
-                    raise ValueError(f"W at degree {d} is not killed by {var}")
-        for d, basis in self.V.items():
-            if d not in self.T.m01 and basis.cols:
-                raise ValueError(f"V touches the empty companion degree {d}")
-            for var in ("s", "t"):
-                if not (self.T.op(var, "01", d) @ basis).is_zero():
-                    raise ValueError(f"V at degree {d} is not killed by {var}")
+        for side, name, code, killers in ((1, "W", "10", ("u", "v")), (2, "V", "01", ("s", "t"))):
+            fam, sub = _side(self, side)
+            for d, basis in sub.items():
+                if d not in fam and basis.cols:
+                    raise ValueError(f"{name} touches the empty companion degree {d}")
+                for var in killers:
+                    if not (self.T.op(var, code, d) @ basis).is_zero():
+                        raise ValueError(f"{name} at degree {d} is not killed by {var}")
         return self
 
     def w_dim(self, d: int) -> int:
@@ -157,6 +146,11 @@ class HorrocksTriple:
     def summary(self) -> str:
         dims = {d: self.module.dim(d) for d in self.module.support()}
         return f"M {dims}; W {{{_dims_str(self.W)}}}; V {{{_dims_str(self.V)}}}"
+
+
+def _side(triple: HorrocksTriple, side: int) -> tuple[dict, dict[int, Matrix]]:
+    """Companion family and chosen subspace of spinor side 1 (m10, W) or side 2 (m01, V)."""
+    return (triple.T.m10, triple.W) if side == 1 else (triple.T.m01, triple.V)
 
 
 def _dims_str(sub: dict[int, Matrix]) -> str:
@@ -222,17 +216,10 @@ def _rho_from_generators(pres: MinimalPresentation, mm: ModelledModule, target: 
     construction, so the induced map on every H1 piece is an isomorphism.
     """
     fld = pres.module.field
-    cols = []
-    src = []
-    gens = minimal_generators(pres.module)
-    for d in sorted(gens):
-        reps, _ = gens[d]
-        for vec in reps.columns():
-            ambient = mm.models[d].reps @ vec
-            cols.append(_forms_from_vector(fld, target, (d, d), ambient))
-            src.append((-d, -d))
-    rows = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(target)))
-    return FormMatrix(fld, tuple(src), tuple(target), rows)
+    cols = [_forms_from_vector(fld, target, (d, d), mm.models[d].reps @ vec) for d, vec in pres.generators]
+    src = tuple((-d, -d) for d, _ in pres.generators)
+    rows = tuple(tuple(col[i] for col in cols) for i in range(len(target)))
+    return FormMatrix(fld, src, tuple(target), rows)
 
 
 def _assert_stripped(rep: KerPresentation):
@@ -255,90 +242,65 @@ def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
     Kernel presentations must have an ACM middle term.  The subspaces come
     out in the canonical coordinates of the module's own minimal
     presentation, so two bundles can be compared by comparing triples.
+    Only the subspace step depends on the input: the kernel of the
+    comparison for a kernel presentation, the transported images of the
+    differential's H1 classes for a monad.
     """
-    if isinstance(rep, MonadPresentation):
-        return _extract_monad(rep)
-    if not all(is_acm_twist(t) for t in rep.A):
-        raise NotGammaForm(f"middle twists {list(rep.A)} are not all ACM")
-    if check_stripped:
-        _assert_stripped(rep)
+    monad = isinstance(rep, MonadPresentation)
+    if not monad:
+        if not all(is_acm_twist(t) for t in rep.A):
+            raise NotGammaForm(f"middle twists {list(rep.A)} are not all ACM")
+        if check_stripped:
+            _assert_stripped(rep)
     mm = module_from_bundle(rep)
-    if mm.module.is_zero:
-        pres = minimal_presentation(mm.module)
-        t = sigma_modules(pres)
-        empty = FormMatrix.zero(rep.field, (), rep.B)
-        return Extraction(HorrocksTriple(pres, t, {}, {}), mm, empty, empty)
     pres = minimal_presentation(mm.module)
-    t = sigma_modules(pres)
+    triple = HorrocksTriple(pres, sigma_modules(pres), {}, {})
+    if mm.module.is_zero:
+        empty = FormMatrix.zero(rep.field, (), rep.B)
+        return Extraction(triple, mm, empty, empty)
     rho = _rho_from_generators(pres, mm, rep.B)
-    lam = solve_form_system(rep.g, rho.compose(pres.psi))
-    w = _kernel_subspaces(rep, pres, t, rho, side=1)
-    v = _kernel_subspaces(rep, pres, t, rho, side=2)
-    triple = HorrocksTriple(pres, t, w, v).validate()
-    return Extraction(triple, mm, rho, lam)
+    lam = solve_form_system((rep.fbar if monad else rep).g, rho.compose(pres.psi))
+    subspaces = _transported_images if monad else _kernel_subspaces
+    for side in (1, 2):
+        fam, sub = _side(triple, side)
+        sub.update(subspaces(rep, fam, rho, side))
+    return Extraction(triple.validate(), mm, rho, lam)
 
 
-def _kernel_subspaces(rep: KerPresentation, pres, t: TriDiagModule, rho: FormMatrix, side: int) -> dict[int, Matrix]:
+def _kernel_subspaces(rep: KerPresentation, fam: dict, rho: FormMatrix, side: int) -> dict[int, Matrix]:
     """Per degree: kernel of the comparison on one spinor companion family."""
-    fam = t.m10 if side == 1 else t.m01
     out = {}
     for d, model in fam.items():
-        e = (d + 1, d) if side == 1 else (d, d + 1)
+        e = spinor_shift(side, d)
         img = induced_h(rep.g, 0, e).column_space_basis()
         pre = preimage_basis(induced_h(rho, 0, e), img)
-        classes = [model.proj @ c for c in pre.columns()]
-        basis = span_basis(rep.field, classes, model.dim)
+        basis = span_basis(rep.field, [model.proj @ c for c in pre.columns()], model.dim)
         if basis.cols:
             out[d] = basis
     return out
 
 
-def _extract_monad(monad: MonadPresentation) -> Extraction:
-    mm = module_from_bundle(monad)
-    pres = minimal_presentation(mm.module)
-    t = sigma_modules(pres)
-    if mm.module.is_zero:
-        empty = FormMatrix.zero(monad.field, (), monad.B)
-        return Extraction(HorrocksTriple(pres, t, {}, {}), mm, empty, empty)
-    rho = _rho_from_generators(pres, mm, monad.B)
-    lam = solve_form_system(monad.psi, rho.compose(pres.psi))
-    w = _transported_images(monad, pres, t, rho, side=1)
-    v = _transported_images(monad, pres, t, rho, side=2)
-    triple = HorrocksTriple(pres, t, w, v).validate()
-    return Extraction(triple, mm, rho, lam)
-
-
-def _transported_images(monad: MonadPresentation, pres, t: TriDiagModule, rho: FormMatrix, side: int) -> dict[int, Matrix]:
+def _transported_images(monad: MonadPresentation, fam: dict, rho: FormMatrix, side: int) -> dict[int, Matrix]:
     """Images of the differential's H1 classes, moved to canonical coordinates.
 
     The classes live in the coker models of ker(psi); the comparison map is
     an isomorphism on each companion piece, so solving against its matrix
     carries them back to the models of the canonical presentation.
     """
-    fld = monad.field
     out = {}
-    degrees = []
-    for k in monad.K:
-        gap = k[0] - k[1]
-        if side == 1 and gap == 1:
-            degrees.append(-1 - k[0])
-        elif side == 2 and gap == -1:
-            degrees.append(-1 - k[1])
-    fam = t.m10 if side == 1 else t.m01
-    for d in sorted(set(degrees)):
-        e = (d + 1, d) if side == 1 else (d, d + 1)
+    for d in sorted({-1 - k[side - 1] for k in monad.K if spinor_kind(k) == side}):
         span = image_h1_split(monad.kappa, monad.fbar, side, d)
         if span.cols == 0:
             continue
         if d not in fam:
             raise InternalInvariantViolation(f"classes found outside the companion support at degree {d}")
         model = fam[d]
-        fmodel = monad.fbar.h1_model(e)
-        tau = fmodel.proj @ (induced_h(rho, 0, e) @ model.reps)
+        e = spinor_shift(side, d)
+        tau = monad.fbar.h1_model(e).proj @ (induced_h(rho, 0, e) @ model.reps)
         if tau.rows != tau.cols or tau.rank() != tau.rows:
             raise InternalInvariantViolation("comparison map is not an isomorphism on a companion piece")
         coords = tau.solve_matrix(span)
-        out[d] = span_basis(fld, list(coords.columns()), model.dim)
+        out[d] = span_basis(monad.field, list(coords.columns()), model.dim)
     return out
 
 
@@ -360,37 +322,30 @@ def synthesize(triple: HorrocksTriple, rng=None) -> MonadPresentation:
     pres = triple.pres
     fld = triple.module.field
     psi = pres.psi
-    k_twists: list[Twist] = []
-    theta_cols: list[np.ndarray] = []
-    col_shifts: list[Twist] = []
-    for side, sub in ((1, triple.V), (2, triple.W)):
+    columns: list[FormMatrix] = []
+    for j, sub in ((1, triple.V), (2, triple.W)):
         # V pairs with O(1,0)-inverse columns, W with O(0,1)-inverse columns
         for m in sorted(sub):
             basis = sub[m]
             if basis.cols == 0:
                 continue
             dpl = -1 - m
-            j = 2 if side == 2 else 1
             sections, delta = delta_matrix(pres.F, j, dpl)
             try:
                 coeff = delta.solve_matrix(basis)
             except NoSolution as exc:
                 raise LiftFailed(f"no section hits the requested class at degree {m}") from exc
             secs = sections @ coeff
+            e = spinor_shift(j, -dpl)
             for c in range(secs.cols):
-                k_twists.append((dpl, dpl - 1) if j == 2 else (dpl - 1, dpl))
-                col_shifts.append((-dpl, -dpl + 1) if j == 2 else (-dpl + 1, -dpl))
-                theta_cols.append(secs.col(c))
-    if not k_twists:
+                forms = _forms_from_vector(fld, pres.L1, e, secs.col(c))
+                columns.append(FormMatrix(fld, ((-e[0], -e[1]),), pres.L1, tuple((f,) for f in forms)))
+    if not columns:
         kappa = FormMatrix.zero(fld, (), pres.L1)
         monad = MonadPresentation(kappa, psi, verify=False)
         _verify_synthesis(monad, triple)
         return monad
-    col_mats = []
-    for k, e, vec in zip(k_twists, col_shifts, theta_cols):
-        forms = _forms_from_vector(fld, pres.L1, e, vec)
-        col_mats.append(FormMatrix(fld, (k,), pres.L1, tuple((f,) for f in forms)))
-    theta = form_hstack(col_mats)
+    theta = form_hstack(columns)
     rows = _free_closure_rows(theta)
     kappa = form_vstack([theta, rows]) if rows.dst else theta
     psibar = form_hstack([psi, FormMatrix.zero(fld, rows.dst, pres.L0)]) if rows.dst else psi
@@ -472,35 +427,26 @@ def triple_iso(t1: HorrocksTriple, t2: HorrocksTriple, trials: int = 200, rng=No
     None is a negative search report, not a proof of non-isomorphism.
     """
     m1, m2 = t1.module, t2.module
-    if {d: m1.dim(d) for d in m1.support()} != {d: m2.dim(d) for d in m2.support()}:
+    if m1.field != m2.field:
+        raise FieldMismatch(f"{m1.field} vs {m2.field}")
+    if m1.dims != m2.dims:
         return None
     if any(t1.w_dim(d) != t2.w_dim(d) for d in set(t1.W) | set(t2.W)):
         return None
     if any(t1.v_dim(d) != t2.v_dim(d) for d in set(t1.V) | set(t2.V)):
         return None
     if m1.is_zero:
-        empty = FormMatrix.zero(t1.module.field, (), ())
+        empty = FormMatrix.zero(m1.field, (), ())
         return TripleIsoWitness({}, empty, empty, 0)
-    rng = rng or random.Random(101)
-    fld = m1.field
     basis, layout = _commuting_space(m1, m2)
-    if not basis:
-        return None
     admissible = _subspace_constrained_basis(t1, t2, basis, layout)
-    if not admissible:
+    found = _sample_iso(
+        m1, admissible, layout, trials, rng or random.Random(101), lambda maps: _try_lift_and_match(t1, t2, maps)
+    )
+    if found is None:
         return None
-    for trial in range(1, trials + 1):
-        vec = fld.zeros(len(basis[0]), 1)[:, 0]
-        for b in admissible:
-            vec = fld.reduce(vec + b * fld.random_scalar(rng))
-        maps = _vec_to_maps(fld, vec, layout)
-        if not all(maps[d].rank() == m1.dim(d) for d in m1.support()):
-            continue
-        witness = _try_lift_and_match(t1, t2, maps)
-        if witness is not None:
-            phi0, phi1 = witness
-            return TripleIsoWitness(maps, phi0, phi1, trial)
-    return None
+    trial, maps, (phi0, phi1) = found
+    return TripleIsoWitness(maps, phi0, phi1, trial)
 
 
 def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]) -> FormMatrix | None:
@@ -510,21 +456,16 @@ def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matr
     linear in the maps because the particular solution of a fixed matrix is.
     """
     fld = t1.module.field
-    gens = minimal_generators(t1.module)
     cols = []
-    src = []
-    for d in sorted(gens):
-        reps, _ = gens[d]
-        for gvec in reps.columns():
-            target = maps[d] @ gvec
-            try:
-                x = t2.pres.pi_at(d).solve(target)
-            except NoSolution:
-                return None
-            cols.append(_forms_from_vector(fld, t2.pres.L0, (d, d), x))
-            src.append((-d, -d))
-    rows = tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(t2.pres.L0)))
-    return FormMatrix(fld, tuple(src), tuple(t2.pres.L0), rows)
+    for d, gvec in t1.pres.generators:
+        try:
+            x = t2.pres.pi_at(d).solve(maps[d] @ gvec)
+        except NoSolution:
+            return None
+        cols.append(_forms_from_vector(fld, t2.pres.L0, (d, d), x))
+    src = tuple((-d, -d) for d, _ in t1.pres.generators)
+    rows = tuple(tuple(col[i] for col in cols) for i in range(len(t2.pres.L0)))
+    return FormMatrix(fld, src, tuple(t2.pres.L0), rows)
 
 
 def _subspace_constrained_basis(t1, t2, basis, layout):
@@ -536,17 +477,13 @@ def _subspace_constrained_basis(t1, t2, basis, layout):
         phi0 = _phi0_from_maps(t1, t2, maps)
         entries = []
         for side in (1, 2):
-            fam1 = t1.T.m10 if side == 1 else t1.T.m01
-            fam2 = t2.T.m10 if side == 1 else t2.T.m01
-            sub1 = t1.W if side == 1 else t1.V
-            sub2 = t2.W if side == 1 else t2.V
+            (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
             for d in sorted(sub1):
                 if sub1[d].cols == 0:
                     continue
                 if d not in fam2 or d not in fam1:
                     return []
-                e = (d + 1, d) if side == 1 else (d, d + 1)
-                induced = fam2[d].proj @ (induced_h(phi0, 0, e) @ fam1[d].reps)
+                induced = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
                 image = induced @ sub1[d]
                 b2 = sub2.get(d)
                 _, kill = quotient_data(fld, fam2[d].dim, list(b2.columns()) if b2 is not None else [])
@@ -571,7 +508,6 @@ def _subspace_constrained_basis(t1, t2, basis, layout):
 
 
 def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]):
-    fld = t1.module.field
     phi0 = _phi0_from_maps(t1, t2, maps)
     if phi0 is None:
         return None
@@ -580,19 +516,15 @@ def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, 
     except NoSolution:
         return None
     for side in (1, 2):
-        fam1 = t1.T.m10 if side == 1 else t1.T.m01
-        fam2 = t2.T.m10 if side == 1 else t2.T.m01
-        sub1 = t1.W if side == 1 else t1.V
-        sub2 = t2.W if side == 1 else t2.V
+        (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
         for d in sorted(set(fam1) | set(fam2)):
-            e = (d + 1, d) if side == 1 else (d, d + 1)
             dim1 = fam1[d].dim if d in fam1 else 0
             dim2 = fam2[d].dim if d in fam2 else 0
             if dim1 != dim2:
                 return None
             if dim1 == 0:
                 continue
-            induced = fam2[d].proj @ (induced_h(phi0, 0, e) @ fam1[d].reps)
+            induced = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
             if induced.rank() != dim1:
                 return None
             b1 = sub1.get(d)
@@ -619,19 +551,17 @@ def four_term_check(rep: KerPresentation, extraction: Extraction) -> dict:
     -> H1(middle twisted)  must be exact, so the alternating sum of
     dimensions vanishes degreewise.  Raises on the first violation.
     """
-    t = extraction.triple.T
     out = {}
     twist_vals = [x for tw in (list(rep.A) + list(rep.B)) for x in tw]
     rep_lo = -max(twist_vals) - 2
     rep_hi = -min(twist_vals) + 2
     for side in (1, 2):
-        fam = t.m10 if side == 1 else t.m01
-        sub = extraction.triple.W if side == 1 else extraction.triple.V
+        fam, sub = _side(extraction.triple, side)
         degrees = sorted(set(fam) | set(sub))
         lo = min(degrees + [rep_lo])
         hi = max(degrees + [rep_hi])
         for d in range(lo, hi + 1):
-            e = (d + 1, d) if side == 1 else (d, d + 1)
+            e = spinor_shift(side, d)
             kdim = sub[d].cols if d in sub else 0
             mdim = fam[d].dim if d in fam else 0
             edim = rep.h1_dim(e)

@@ -60,10 +60,9 @@ def spinor_kind(t: Twist) -> int | None:
     return None
 
 
-def twist_sum(ts: SplitBundle) -> Twist:
-    a = sum(t[0] for t in ts)
-    b = sum(t[1] for t in ts)
-    return (a, b)
+def spinor_shift(side: int, d: int) -> Twist:
+    """The twist (d, d) plus the spinor twist of side 1 (O(1,0)) or side 2 (O(0,1))."""
+    return deg_add((d, d), SIGMA1 if side == 1 else SIGMA2)
 
 
 def euler_char(s: SplitBundle) -> int:
@@ -313,22 +312,6 @@ def form_vstack(blocks: list[FormMatrix]) -> FormMatrix:
     dst = tuple(t for b in blocks for t in b.dst)
     rows = tuple(row for b in blocks for row in b.entries)
     return FormMatrix(field, src, dst, rows)
-
-
-def form_blockdiag(blocks: list[FormMatrix], field=None) -> FormMatrix:
-    field = field if field is not None else blocks[0].field
-    src = tuple(t for b in blocks for t in b.src)
-    dst = tuple(t for b in blocks for t in b.dst)
-    out = FormMatrix.zero(field, src, dst)
-    rows = [list(r) for r in out.entries]
-    i0 = j0 = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[i0 + i][j0 + j] = b.entries[i][j]
-        i0 += b.rows
-        j0 += b.cols
-    return FormMatrix(field, src, dst, tuple(tuple(r) for r in rows))
 
 
 def split_dims(i: int, s: SplitBundle, e: Twist) -> list[int]:

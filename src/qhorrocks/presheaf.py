@@ -50,6 +50,7 @@ from .linecoh import (
     sheaf_surjective,
     split_dim,
     split_dims,
+    spinor_shift,
 )
 
 
@@ -251,11 +252,7 @@ class KerPresentation:
 
     def table(self, lo: int, hi: int) -> dict:
         """h^i over diagonal twists and both spinor strips for d in [lo, hi]."""
-        out = {}
-        for d in range(lo, hi + 1):
-            for kind, e in (("o", (d, d)), ("s1", (d + 1, d)), ("s2", (d, d + 1))):
-                out[(kind, d)] = self.dims_at(e)
-        return out
+        return _strip_table(self.dims_at, lo, hi)
 
     def euler_check(self, e: Twist) -> bool:
         h0, h1, h2 = self.dims_at(e)
@@ -263,14 +260,18 @@ class KerPresentation:
         return h0 - h1 + h2 == want
 
 
+def _strip_table(dims_at, lo: int, hi: int) -> dict:
+    """dims_at(e) keyed by (kind, d): kind "o" at (d, d), "s1" and "s2" on the two spinor strips."""
+    return {
+        (kind, d): dims_at(e)
+        for d in range(lo, hi + 1)
+        for kind, e in (("o", (d, d)), ("s1", spinor_shift(1, d)), ("s2", spinor_shift(2, d)))
+    }
+
+
 def line_bundle_table(t: Twist, lo: int, hi: int) -> dict:
     """The table a plain line bundle O(t) would give; for comparisons."""
-    out = {}
-    for d in range(lo, hi + 1):
-        for kind, e in (("o", (d, d)), ("s1", (d + 1, d)), ("s2", (d, d + 1))):
-            tw = deg_add(t, e)
-            out[(kind, d)] = tuple(kunneth_dim(i, tw) for i in (0, 1, 2))
-    return out
+    return _strip_table(lambda e: tuple(kunneth_dim(i, deg_add(t, e)) for i in (0, 1, 2)), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +607,7 @@ def image_h1_split(kappa: FormMatrix, p: KerPresentation, spinor: int, d: int) -
     the module degree, so the shift is (d+1, d) or (d, d+1).  Each K summand
     with one-dimensional H1 there contributes the class of its column.
     """
-    e = (d + 1, d) if spinor == 1 else (d, d + 1)
+    e = spinor_shift(spinor, d)
     model = p.h1_model(e)
     cols = []
     for j, k in enumerate(kappa.src):
@@ -734,11 +735,7 @@ class MonadPresentation:
         return (h0, h1, h2)
 
     def table(self, lo: int, hi: int) -> dict:
-        out = {}
-        for d in range(lo, hi + 1):
-            for kind, e in (("o", (d, d)), ("s1", (d + 1, d)), ("s2", (d, d + 1))):
-                out[(kind, d)] = self.dims_at(e)
-        return out
+        return _strip_table(self.dims_at, lo, hi)
 
     def h2_kappa_injective(self) -> bool:
         """Exact certificate that H2 of kappa is injective at every diagonal twist.

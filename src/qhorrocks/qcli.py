@@ -13,8 +13,8 @@ Subcommands mirror the library pipeline:
     examples     list the built-in fixture names
 
 Files may be paths or `example:<name>` references to the built-in corpus.
-Exit codes: 0 success, 1 property failure, 2 parse or validation error,
-3 precondition violation.
+Exit codes: 0 success, 1 property or verification failure, 2 parse,
+validation or undecided-input error, 3 precondition violation.
 """
 
 from __future__ import annotations
@@ -23,19 +23,22 @@ import argparse
 import random
 import sys
 
-from .exactla import DEFAULT_PRIME, Matrix, get_field, quotient_data, span_basis
-from .bipoly import BiForm, ParseError
-from .linecoh import h0_mult_on_split, split_dims
+from .exactla import DEFAULT_PRIME, FieldMismatch, NoSolution, get_field
+from .bipoly import ParseError
+from .linecoh import Undecided
 from .presheaf import (
+    InternalInvariantViolation,
     MonadPresentation,
     NotSurjective,
     PrereqVanishingFailed,
     VerificationFailed,
     strip_acm,
 )
-from .flmod import FinLengthModule, InvalidModule, minimal_presentation, sigma_modules, socle_subspace
+from .flmod import BoundExceeded, InvalidModule
 from .horrocks import (
+    ExactnessViolation,
     HorrocksTriple,
+    LiftFailed,
     NotGammaForm,
     NotMinimalGamma,
     extract_invariants,
@@ -43,6 +46,7 @@ from .horrocks import (
     synthesize,
     triple_iso,
 )
+from .generate import random_module, random_triple
 from .stability import ShapeMismatch, le_potier_check
 from . import fixtures, textio
 
@@ -229,89 +233,15 @@ def _parse_dims(spec: str) -> dict[int, int]:
     return out
 
 
-def random_module(field, rng, dims: dict[int, int]) -> FinLengthModule:
-    """A random module with the requested piece dimensions.
-
-    Built as a random quotient of a free module with one generator block per
-    requested degree: degreewise, a random complement of the carried
-    relations is killed until the piece has the requested dimension.
-    """
-    lo, hi = min(dims), max(dims)
-    gens = tuple((-d, -d) for d in sorted(dims) for _ in range(dims[d]))
-    kill: dict[int, Matrix] = {}
-    reps: dict[int, Matrix] = {}
-    proj: dict[int, Matrix] = {}
-    got: dict[int, int] = {}
-    for d in range(lo, hi + 2):
-        amb = sum(split_dims(0, gens, (d, d)))
-        want = dims.get(d, 0) if d <= hi else 0
-        killed = []
-        if d - 1 in kill and kill[d - 1].cols:
-            for name in ("x0", "x1", "x2", "x3"):
-                mul = h0_mult_on_split(gens, BiForm.variable(field, name), (d - 1, d - 1))
-                killed.extend(list((mul @ kill[d - 1]).columns()))
-        killed = list(span_basis(field, killed, amb).columns())
-        guard = 0
-        while amb - span_basis(field, killed, amb).cols > want:
-            v = field.zeros(amb, 1)[:, 0]
-            for i in range(amb):
-                v[i] = field.random_scalar(rng)
-            killed.append(v)
-            guard += 1
-            if guard > 500:
-                raise CliError("random module generation stalled", 2)
-        kill[d] = span_basis(field, killed, amb)
-        r, p = quotient_data(field, amb, list(kill[d].columns()))
-        reps[d], proj[d] = r, p
-        got[d] = r.cols
-    for d, n in dims.items():
-        if got.get(d, 0) != n:
-            raise CliError(f"requested dimension {n} at degree {d} is not attainable", 2)
-    ops = {}
-    for d in range(lo, hi + 1):
-        for k, name in enumerate(("x0", "x1", "x2", "x3")):
-            mul = h0_mult_on_split(gens, BiForm.variable(field, name), (d, d))
-            ops[(k, d)] = proj[d + 1] @ (mul @ reps[d])
-    m = FinLengthModule(field, {d: n for d, n in got.items() if d <= hi and n}, ops)
-    return m.validate()
-
-
-def random_triple(field, rng, dims: dict[int, int]) -> HorrocksTriple:
-    """A random module with random admissible socle subspaces on both sides."""
-    m = random_module(field, rng, dims)
-    pres = minimal_presentation(m)
-    t = sigma_modules(pres)
-    w_vecs: dict[int, list] = {}
-    v_vecs: dict[int, list] = {}
-    for which, store in (("m10", w_vecs), ("m01", v_vecs)):
-        soc = socle_subspace(t, which)
-        fam = t.m10 if which == "m10" else t.m01
-        for d, basis in soc.items():
-            take = rng.randrange(0, basis.cols + 1)
-            if take == 0:
-                continue
-            vecs = []
-            for _ in range(take):
-                v = field.zeros(fam[d].dim, 1)[:, 0]
-                coeff = [field.random_scalar(rng) for _ in range(basis.cols)]
-                for cidx in range(basis.cols):
-                    v = field.reduce(v + basis.col(cidx) * coeff[cidx])
-                vecs.append(v)
-            span = span_basis(field, vecs, fam[d].dim)
-            if span.cols:
-                store[d] = list(span.columns())
-    return HorrocksTriple.build(m, w_vecs, v_vecs)
-
-
 def cmd_random_module(args) -> int:
-    field = get_field(args.field if args.prime is None else args.prime)
+    field = get_field(args.field)
     m = random_module(field, random.Random(args.seed), _parse_dims(args.dims))
     sys.stdout.write(textio.format_module_text(m))
     return 0
 
 
 def cmd_random_triple(args) -> int:
-    field = get_field(args.field if args.prime is None else args.prime)
+    field = get_field(args.field)
     t = random_triple(field, random.Random(args.seed), _parse_dims(args.dims))
     sys.stdout.write(textio.format_triple_text(t))
     return 0
@@ -333,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--field", default=str(DEFAULT_PRIME),
-                       help="field for built-in examples: a prime or 'rationals'")
+                       help="field for built-in examples and generators: a prime or 'rationals'")
         p.add_argument("--format", choices=("text", "records"), default="text")
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--trials", type=int, default=200)
@@ -376,16 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("random-module", help="seeded random module, e.g. --dims 1@0")
-    p.add_argument("--prime", type=int, default=None)
     p.add_argument("--dims", required=True, help="dimension spec n@d[,n@d...]")
-    p.add_argument("--degrees", default=None, help="accepted for compatibility; dims fix the window")
     common(p)
     p.set_defaults(fn=cmd_random_module)
 
     p = sub.add_parser("random-triple", help="seeded random triple with admissible subspaces")
-    p.add_argument("--prime", type=int, default=None)
     p.add_argument("--dims", required=True)
-    p.add_argument("--degrees", default=None)
     common(p)
     p.set_defaults(fn=cmd_random_triple)
 
@@ -406,10 +332,17 @@ def main(argv=None) -> int:
     except (NotMinimalGamma, NotGammaForm, ShapeMismatch, PrereqVanishingFailed) as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, InvalidModule, NotSurjective, ValueError) as exc:
+    except (ParseError, InvalidModule, NotSurjective, Undecided, FieldMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except VerificationFailed as exc:
+    except (
+        VerificationFailed,
+        InternalInvariantViolation,
+        LiftFailed,
+        BoundExceeded,
+        ExactnessViolation,
+        NoSolution,
+    ) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField
+from qhorrocks.linecoh import coh_action
 from qhorrocks.bipoly import (
     BiForm,
     ParseError,
     format_biform,
     monomial_basis,
     monomial_factor_path,
-    mult_matrix,
     parse_biform,
     space_dim,
     sq_piece,
@@ -99,13 +99,13 @@ def test_rational_coefficients():
 
 def test_mult_matrix_one_is_identity():
     one = BiForm.constant(F, 1)
-    m = mult_matrix(one, (2, 1))
+    m = coh_action(one, 0, (2, 1))
     assert m == Matrix.identity(F, 6)
 
 
 def test_mult_matrix_single_variable():
     s = BiForm.variable(F, "s")
-    m = mult_matrix(s, (0, 0))
+    m = coh_action(s, 0, (0, 0))
     # t-degree (1,0) basis is [s, t]; multiplying 1 by s selects the s slot
     assert m.rows == 2 and m.cols == 1
     assert int(m.a[0, 0]) == 1 and int(m.a[1, 0]) == 0
@@ -113,7 +113,7 @@ def test_mult_matrix_single_variable():
 
 def test_mult_matrix_su_unit_column():
     su = bf("s*u")
-    m = mult_matrix(su, (0, 0))
+    m = coh_action(su, 0, (0, 0))
     basis = monomial_basis((1, 1))
     col = m.col(0)
     assert [int(x) for x in col] == [1 if mono == (1, 1) else 0 for mono in basis]
@@ -127,23 +127,23 @@ def test_mult_matrix_composition_law():
         g = BiForm.make(F, dg, {m: rng.randrange(F.p) for m in monomial_basis(dg)})
         h = BiForm.make(F, dh, {m: rng.randrange(F.p) for m in monomial_basis(dh)})
         src = (1, 1)
-        lhs = mult_matrix(g, (src[0] + dh[0], src[1] + dh[1])) @ mult_matrix(h, src)
-        assert lhs == mult_matrix(g * h, src)
+        lhs = coh_action(g, 0, (src[0] + dh[0], src[1] + dh[1])) @ coh_action(h, 0, src)
+        assert lhs == coh_action(g * h, 0, src)
 
 
 def test_mult_matrix_additive():
     f1 = bf("s*u")
     f2 = bf("t*v")
-    lhs = mult_matrix(f1 + f2, (1, 1))
-    assert lhs == mult_matrix(f1, (1, 1)) + mult_matrix(f2, (1, 1))
+    lhs = coh_action(f1 + f2, 0, (1, 1))
+    assert lhs == coh_action(f1, 0, (1, 1)) + coh_action(f2, 0, (1, 1))
 
 
 def test_quadric_relation_between_diagonal_pieces():
     # su * tv = sv * tu as maps between any two diagonal pieces
     x0, x1, x2, x3 = (bf(n) for n in ("x0", "x1", "x2", "x3"))
     for d in range(0, 4):
-        lhs = mult_matrix(x0, (d + 1, d + 1)) @ mult_matrix(x3, (d, d))
-        rhs = mult_matrix(x1, (d + 1, d + 1)) @ mult_matrix(x2, (d, d))
+        lhs = coh_action(x0, 0, (d + 1, d + 1)) @ coh_action(x3, 0, (d, d))
+        rhs = coh_action(x1, 0, (d + 1, d + 1)) @ coh_action(x2, 0, (d, d))
         assert lhs == rhs
 
 

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhorrocks.exactla import (
     DEFAULT_PRIME,
@@ -9,6 +10,7 @@ from qhorrocks.exactla import (
     NoSolution,
     PrimeField,
     RationalField,
+    _rref,
     get_field,
     hstack,
     preimage_basis,
@@ -26,6 +28,24 @@ def test_get_field():
     assert get_field("p=7").p == 7
     assert get_field(5).p == 5
     assert isinstance(get_field("rationals"), RationalField)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 32004, 2**31 + 1, 4294967311])
+def test_prime_field_rejects_composites_and_oversized_primes(p):
+    # 4294967311 is prime, but (p - 1)**2 overflows the int64 row update
+    with pytest.raises(ValueError):
+        PrimeField(p)
+
+
+def test_matmul_near_the_size_limit_does_not_overflow():
+    big = PrimeField(2147483647)
+    p = big.p
+    # 3 (p - 1)**2 exceeds 2**63 unless the inner dimension is split
+    assert big.matmul(big.array([[p - 1] * 3]), big.array([[p - 1]] * 3)).tolist() == [[3]]
+    a = random_matrix(big, random.Random(1), 3, 40)
+    b = random_matrix(big, random.Random(2), 40, 2)
+    exact = [[sum(int(a.a[i, k]) * int(b.a[k, j]) for k in range(40)) % p for j in range(2)] for i in range(3)]
+    assert big.matmul(a.a, b.a).tolist() == exact
 
 
 def test_rank_identity_and_zero():
@@ -89,10 +109,11 @@ def test_solve_reproduces_rhs_exactly():
 
 def test_rank_nullity_random():
     rng = random.Random(11)
-    for _ in range(25):
-        r, c = rng.randrange(1, 8), rng.randrange(1, 8)
-        m = random_matrix(F, rng, r, c)
-        assert m.rank() + len(m.kernel_basis()) == c
+    for field in (F, PrimeField(5), Q):
+        for _ in range(25):
+            r, c = rng.randrange(1, 8), rng.randrange(1, 8)
+            m = random_matrix(field, rng, r, c)
+            assert m.rank() + len(m.kernel_basis()) == c
 
 
 def test_quotient_trivial_subspace():
@@ -150,3 +171,104 @@ def test_solve_matrix_multi_rhs():
     x = random_matrix(F, rng, 4, 3)
     sol = m.solve_matrix(m @ x)
     assert (m @ sol) == (m @ x)
+
+
+# ---------------------------------------------------------------------------
+# properties of the elimination read-outs over F_32003, F_5 and Q
+
+
+@st.composite
+def matrices(draw, field=None, rows=None, cols=None):
+    field = draw(st.sampled_from([F, PrimeField(5), Q])) if field is None else field
+    r = draw(st.integers(0, 6)) if rows is None else rows
+    c = draw(st.integers(0, 6)) if cols is None else cols
+    entries = draw(st.lists(st.integers(-2, 2), min_size=r * c, max_size=r * c))
+    return Matrix(field, field.array(np.array(entries, dtype=object).reshape(r, c)))
+
+
+READOUTS = settings(max_examples=80, deadline=None)
+
+
+@READOUTS
+@given(matrices())
+def test_kernel_vectors_are_killed(m):
+    for v in m.kernel_basis():
+        assert not np.any(m @ v != 0)
+
+
+def reference_kernel(m):
+    """Reference read-out: for each non-pivot column f, e_f minus the pivot rows' entries in column f."""
+    r, pivots = _rref(m.field, m.a)
+    out = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = m.field.zeros(m.cols, 1)[:, 0]
+        v[f] = m.field.scalar(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = m.field.neg(r[i, f])
+        out.append(v)
+    return out
+
+
+@READOUTS
+@given(matrices())
+def test_kernel_and_quotient_read_out_the_reference_basis(m):
+    want = [[m.field.scalar(x) for x in v] for v in reference_kernel(m)]
+    assert [list(v) for v in m.kernel_basis()] == want
+    # the rows of m span the subspace, so the projection's rows are its kernel basis
+    _reps, proj = quotient_data(m.field, m.cols, list(m.a))
+    assert [list(row) for row in proj.a] == want
+
+
+@READOUTS
+@given(matrices())
+def test_quotient_projection_inverts_reps_and_kills_the_subspace(m):
+    # the subspace is the column span of m inside an ambient space of dimension m.rows
+    reps, proj = quotient_data(m.field, m.rows, list(m.columns()))
+    assert reps.cols == m.rows - m.rank()
+    assert proj @ reps == Matrix.identity(m.field, reps.cols)
+    assert (proj @ m).is_zero()
+
+
+def reference_span_basis(field, vectors):
+    """Reference read-out: Gauss-Jordan on the vectors as rows of plain lists, nonzero rows in pivot order."""
+    rows = [[field.scalar(x) for x in v] for v in vectors]
+    basis = []
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((k for k, row in enumerate(rows) if row[c] != 0), None)
+        if i is None:
+            continue
+        inv = field.inv(rows[i][c])
+        piv = [field.scalar(x * inv) for x in rows.pop(i)]
+        rows = [[field.scalar(x - row[c] * y) for x, y in zip(row, piv)] for row in rows]
+        basis = [[field.scalar(x - row[c] * y) for x, y in zip(row, piv)] for row in basis] + [piv]
+    return basis
+
+
+@READOUTS
+@given(matrices())
+def test_span_and_column_space_basis_read_out_the_reference_rref(m):
+    want = reference_span_basis(m.field, m.columns())
+    assert [list(v) for v in span_basis(m.field, list(m.columns()), m.rows).columns()] == want
+    assert [list(v) for v in m.column_space_basis().columns()] == want
+
+
+@READOUTS
+@given(matrices(), st.data())
+def test_multi_column_solve_matches_per_column_solve(m, data):
+    k = data.draw(st.integers(1, 3))
+    x = data.draw(matrices(m.field, m.cols, k))
+    if data.draw(st.booleans()):
+        rhs = m @ x  # consistent right-hand sides
+    else:
+        rhs = data.draw(matrices(m.field, m.rows, k))
+    per_column = []
+    for j in range(k):
+        try:
+            per_column.append(m.solve(rhs.col(j)))
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                m.solve_matrix(rhs)
+            return
+    sol = m.solve_matrix(rhs)
+    for j in range(k):
+        assert np.all(sol.col(j) == per_column[j])

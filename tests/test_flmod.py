@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField
+from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField
 from qhorrocks.bipoly import parse_biform
 from qhorrocks.linecoh import FormMatrix
 from qhorrocks.presheaf import KerPresentation
@@ -325,6 +325,11 @@ def test_module_iso_self():
 
 def test_module_iso_degree_mismatch():
     assert module_iso(k_module((0, 1)), k_module((1, 1))) is None
+
+
+def test_module_iso_rejects_modules_over_different_fields():
+    with pytest.raises(FieldMismatch):
+        module_iso(k_module((0, 1)), FinLengthModule(PrimeField(7), {0: 1}, {}))
 
 
 def test_module_iso_conjugated():

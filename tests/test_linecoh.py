@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -125,17 +123,6 @@ def test_coh_action_functorial_quadric_relation():
             lhs = coh_action(x3, i, (t[0] + 1, t[1] + 1)) @ coh_action(x0, i, t)
             rhs = coh_action(x2, i, (t[0] + 1, t[1] + 1)) @ coh_action(x1, i, t)
             assert lhs == rhs
-
-
-def test_coh_action_matches_mult_matrix_on_h0():
-    from qhorrocks.bipoly import mult_matrix
-
-    rng = random.Random(2)
-    for _ in range(5):
-        deg = (rng.randrange(0, 2), rng.randrange(0, 2))
-        f = BiForm.make(F, deg, {m: rng.randrange(F.p) for m in __import__("qhorrocks.bipoly", fromlist=["monomial_basis"]).monomial_basis(deg)})
-        src = (rng.randrange(0, 3), rng.randrange(0, 3))
-        assert coh_action(f, 0, src) == mult_matrix(f, src)
 
 
 def test_split_dim_examples():

@@ -4,9 +4,13 @@ import sys
 
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, PrimeField
-from qhorrocks import textio, fixtures
+from qhorrocks.exactla import DEFAULT_PRIME, NoSolution, PrimeField
+from qhorrocks import qcli, textio, fixtures
 from qhorrocks.qcli import main, random_module, random_triple
+from qhorrocks.flmod import BoundExceeded
+from qhorrocks.linecoh import Undecided
+from qhorrocks.presheaf import InternalInvariantViolation
+from qhorrocks.horrocks import ExactnessViolation, LiftFailed
 from qhorrocks.flmod import FinLengthModule
 from qhorrocks.horrocks import extract_invariants
 
@@ -198,6 +202,47 @@ def test_cli_bad_file_exit2(capsys, tmp_path):
     path.write_text("field p=32003\nbundle gamma\nA: (0,0)\nB: (0,0)\ng:\n[not a poly]\n")
     code, out, err = run_cli(capsys, "invariants", str(path))
     assert code == 2
+
+
+def test_cli_iso_of_triples_over_different_fields_exit2(capsys, tmp_path):
+    paths = []
+    for field in ("32003", "7"):
+        code, out, err = run_cli(capsys, "random-triple", "--dims", "1@0", "--seed", "2", "--field", field)
+        assert code == 0
+        paths.append(tmp_path / f"p{field}.triple")
+        paths[-1].write_text(out)
+    code, out, err = run_cli(capsys, "iso", str(paths[0]), str(paths[1]))
+    assert code == 2
+    assert "PrimeField(32003) vs PrimeField(7)" in err
+
+
+def test_cli_rejects_composite_field(capsys):
+    code, out, err = run_cli(capsys, "invariants", "example:o-20", "--field", "32004")
+    assert code == 2
+    assert "not a prime: 32004" in err
+
+
+@pytest.mark.parametrize(
+    "exc_type, code",
+    [
+        (Undecided, 2),
+        (InternalInvariantViolation, 1),
+        (LiftFailed, 1),
+        (BoundExceeded, 1),
+        (ExactnessViolation, 1),
+        (NoSolution, 1),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_cli_maps_library_failures_to_exit_codes(capsys, monkeypatch, exc_type, code):
+    def failing(args):
+        raise exc_type("injected failure")
+
+    monkeypatch.setattr(qcli, "cmd_examples", failing)
+    got, out, err = run_cli(capsys, "examples")
+    assert got == code
+    assert "injected failure" in err
+    assert "Traceback" not in err
 
 
 def test_cli_entrypoint_subprocess():
