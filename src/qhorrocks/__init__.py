@@ -21,7 +21,6 @@ from .linecoh import (
     is_free_twist,
     kunneth_dim,
     sheaf_surjective,
-    split_h,
 )
 from .presheaf import (
     KerPresentation,

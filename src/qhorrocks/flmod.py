@@ -221,17 +221,7 @@ def _presentation_attempt(m: FinLengthModule, gens, bound: int):
             rel_cols.append((d, ker @ vec))
     rel_degrees = tuple(d for d, _ in rel_cols)
     L1: SplitBundle = tuple((-d, -d) for d in rel_degrees)
-    rows = []
-    for gi, gdeg in enumerate(gen_degrees):
-        row = []
-        for rdeg, vec in rel_cols:
-            dims = split_dims(0, L0, (rdeg, rdeg))
-            k0 = sum(dims[:gi])
-            sub = vec[k0 : k0 + dims[gi]]
-            deg = (rdeg - gdeg, rdeg - gdeg)
-            row.append(BiForm.from_vector(fld, deg, sub) if dims[gi] else BiForm.zero(fld, deg))
-        rows.append(tuple(row))
-    psi = FormMatrix(fld, L1, L0, tuple(rows))
+    psi = FormMatrix.from_sections(fld, L1, L0, [vec for _, vec in rel_cols])
     # verify: the recomputed cokernel has the module's dimensions, then vanishes
     for d in range(m.lo, bound + 3):
         mat = induced_h(psi, 0, (d, d))

@@ -37,6 +37,7 @@ from .linecoh import (
     FormMatrix,
     SplitBundle,
     Twist,
+    constant_pairing,
     form_hstack,
     form_vstack,
     h0_mult_on_split,
@@ -52,7 +53,6 @@ from .presheaf import (
     KerPresentation,
     MonadPresentation,
     VerificationFailed,
-    _forms_from_vector,
     delta_matrix,
     find_acm_summand,
     image_h1_split,
@@ -215,11 +215,9 @@ def _rho_from_generators(pres: MinimalPresentation, mm: ModelledModule, target: 
     induced map on section spaces then covers the identity of the module by
     construction, so the induced map on every H1 piece is an isomorphism.
     """
-    fld = pres.module.field
-    cols = [_forms_from_vector(fld, target, (d, d), mm.models[d].reps @ vec) for d, vec in pres.generators]
     src = tuple((-d, -d) for d, _ in pres.generators)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(len(target)))
-    return FormMatrix(fld, src, tuple(target), rows)
+    sections = [mm.models[d].reps @ vec for d, vec in pres.generators]
+    return FormMatrix.from_sections(pres.module.field, src, target, sections)
 
 
 def _assert_stripped(rep: KerPresentation):
@@ -322,7 +320,8 @@ def synthesize(triple: HorrocksTriple, rng=None) -> MonadPresentation:
     pres = triple.pres
     fld = triple.module.field
     psi = pres.psi
-    columns: list[FormMatrix] = []
+    twists: list[Twist] = []
+    columns = []
     for j, sub in ((1, triple.V), (2, triple.W)):
         # V pairs with O(1,0)-inverse columns, W with O(0,1)-inverse columns
         for m in sorted(sub):
@@ -335,18 +334,12 @@ def synthesize(triple: HorrocksTriple, rng=None) -> MonadPresentation:
                 coeff = delta.solve_matrix(basis)
             except NoSolution as exc:
                 raise LiftFailed(f"no section hits the requested class at degree {m}") from exc
-            secs = sections @ coeff
             e = spinor_shift(j, -dpl)
-            for c in range(secs.cols):
-                forms = _forms_from_vector(fld, pres.L1, e, secs.col(c))
-                columns.append(FormMatrix(fld, ((-e[0], -e[1]),), pres.L1, tuple((f,) for f in forms)))
-    if not columns:
-        kappa = FormMatrix.zero(fld, (), pres.L1)
-        monad = MonadPresentation(kappa, psi, verify=False)
-        _verify_synthesis(monad, triple)
-        return monad
-    theta = form_hstack(columns)
-    rows = _free_closure_rows(theta)
+            for vec in (sections @ coeff).columns():
+                twists.append((-e[0], -e[1]))
+                columns.append(vec)
+    theta = FormMatrix.from_sections(fld, tuple(twists), pres.L1, columns)
+    rows = _free_closure_rows(theta) if theta.src else FormMatrix.zero(fld, (), ())
     kappa = form_vstack([theta, rows]) if rows.dst else theta
     psibar = form_hstack([psi, FormMatrix.zero(fld, rows.dst, pres.L0)]) if rows.dst else psi
     monad = MonadPresentation(kappa, psibar, verify=False)
@@ -369,7 +362,7 @@ def _free_closure_rows(theta: FormMatrix) -> FormMatrix:
     dual = theta.dual()  # L1^v -> K^v
     firsts = [max(k) for k in theta.src]
     fmin, fmax = min(firsts), max(firsts)
-    out_rows: list[tuple[int, np.ndarray]] = []
+    twists, columns = [], []
     for f in range(fmin, fmax + 1):
         amb = split_dim(0, dual.dst, (f, f))
         killed = list(induced_h(dual, 0, (f, f)).columns())
@@ -381,19 +374,10 @@ def _free_closure_rows(theta: FormMatrix) -> FormMatrix:
                 killed.extend(list(mul.columns()))
         reps, _proj = quotient_data(fld, amb, killed)
         for vec in reps.columns():
-            out_rows.append((f, vec))
-    src = theta.src
-    row_mats = []
-    for g, vec in out_rows:
-        forms = _forms_from_vector(fld, tuple((-a, -b) for a, b in src), (g, g), vec)
-        row_mats.append(FormMatrix(fld, src, ((g, g),), (tuple(forms),)))
-    rows = form_vstack(row_mats) if row_mats else FormMatrix.zero(fld, src, ())
-    stacked = form_hstack([dual, rows.dual()]) if row_mats else dual
-    for f in range(fmin, fmax + 1):
-        m = induced_h(stacked, 0, (f, f))
-        if m.rows - m.rank() != 0:
-            raise InternalInvariantViolation("free closure failed to cover the dual cokernel")
-    return rows
+            twists.append((-f, -f))
+            columns.append(vec)
+    # each coset representative is a column O(-f, -f) -> K^v, so a row K -> O(f, f)
+    return FormMatrix.from_sections(fld, tuple(twists), dual.dst, columns).dual()
 
 
 def _verify_synthesis(monad: MonadPresentation, triple: HorrocksTriple):
@@ -455,17 +439,14 @@ def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matr
     Generator columns are lifted through the target surjection; the lift is
     linear in the maps because the particular solution of a fixed matrix is.
     """
-    fld = t1.module.field
-    cols = []
+    sections = []
     for d, gvec in t1.pres.generators:
         try:
-            x = t2.pres.pi_at(d).solve(maps[d] @ gvec)
+            sections.append(t2.pres.pi_at(d).solve(maps[d] @ gvec))
         except NoSolution:
             return None
-        cols.append(_forms_from_vector(fld, t2.pres.L0, (d, d), x))
     src = tuple((-d, -d) for d, _ in t1.pres.generators)
-    rows = tuple(tuple(col[i] for col in cols) for i in range(len(t2.pres.L0)))
-    return FormMatrix(fld, src, tuple(t2.pres.L0), rows)
+    return FormMatrix.from_sections(t1.module.field, src, t2.pres.L0, sections)
 
 
 def _subspace_constrained_basis(t1, t2, basis, layout):
@@ -604,22 +585,9 @@ def monad_has_acm_summand(monad: MonadPresentation) -> bool:
 
 
 def _monad_pairing_nonzero(monad: MonadPresentation, l: Twist) -> bool:
-    fld = monad.field
-    cols = monad.fbar.h0_space((-l[0], -l[1]))
-    rows_ker = induced_h(monad.kappa.dual(), 0, l).kernel_matrix()
-    if cols.cols == 0 or rows_ker.cols == 0:
-        return False
-    for ci in range(cols.cols):
-        cform = _forms_from_vector(fld, monad.A, (-l[0], -l[1]), cols.col(ci))
-        for ri in range(rows_ker.cols):
-            rform = _forms_from_vector(fld, tuple((-a, -b) for a, b in monad.A), (l[0], l[1]), rows_ker.col(ri))
-            total = fld.scalar(0)
-            for f, g in zip(cform, rform):
-                prod = f * g
-                total = fld.scalar(total + prod.constant_value())
-            if total != 0:
-                return True
-    return False
+    sections = monad.fbar.h0_space((-l[0], -l[1]))
+    cosections = induced_h(monad.kappa.dual(), 0, l).kernel_matrix()
+    return not constant_pairing(monad.A, l, sections, cosections).is_zero()
 
 
 @dataclass

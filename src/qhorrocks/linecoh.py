@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .exactla import Matrix
 from .bipoly import BiForm, deg_add, deg_sub
 
@@ -128,15 +130,6 @@ def _coh_index(i: int, t: Twist) -> dict[tuple[int, int, int, int], int]:
     return {m: k for k, m in enumerate(coh_basis(i, t).monomials)}
 
 
-def _in_cone(i: int, m: tuple[int, int, int, int]) -> bool:
-    ps, pt, pu, pv = m
-    if i == 0:
-        return ps >= 0 and pt >= 0 and pu >= 0 and pv >= 0
-    if i == 1:
-        return (ps >= 0 and pt >= 0 and pu <= -1 and pv <= -1) or (ps <= -1 and pt <= -1 and pu >= 0 and pv >= 0)
-    return ps <= -1 and pt <= -1 and pu <= -1 and pv <= -1
-
-
 @lru_cache(maxsize=None)
 def _coh_action_cached(f: BiForm, i: int, t: Twist) -> Matrix:
     field = f.field
@@ -227,6 +220,31 @@ class FormMatrix:
             rows.append(tuple(row))
         return FormMatrix(field, tuple(s), tuple(s), tuple(rows))
 
+    @staticmethod
+    def from_sections(field, src: SplitBundle, dst: SplitBundle, sections) -> "FormMatrix":
+        """The matrix whose column j is the section vector sections[j] of H0(dst(-src_j)).
+
+        A section vector lists its summands' coefficients in monomial_basis
+        order, one summand after another, as induced_h lays out H0; summands
+        without sections give the zero form of their slot.
+        """
+        cols = []
+        for (a, b), vec in zip(src, sections):
+            forms, k = [], 0
+            for t in dst:
+                deg = deg_sub(t, (a, b))
+                d = kunneth_dim(0, deg)
+                forms.append(BiForm.from_vector(field, deg, vec[k : k + d]))
+                k += d
+            cols.append(forms)
+        rows = tuple(zip(*cols)) if cols else ((),) * len(dst)
+        return FormMatrix(field, tuple(src), tuple(dst), rows)
+
+    def section(self, j: int) -> np.ndarray:
+        """Column j as a section vector of H0(dst(-src_j)); the inverse of from_sections."""
+        vecs = [row[j].coefficient_vector() for row in self.entries]
+        return np.concatenate(vecs) if vecs else self.field.zeros(0, 1)[:, 0]
+
     @property
     def rows(self) -> int:
         return len(self.dst)
@@ -234,9 +252,6 @@ class FormMatrix:
     @property
     def cols(self) -> int:
         return len(self.src)
-
-    def entry(self, i: int, j: int) -> BiForm:
-        return self.entries[i][j]
 
     def compose(self, other: "FormMatrix") -> "FormMatrix":
         """self o other, defined when other.dst == self.src."""
@@ -285,11 +300,6 @@ class FormMatrix:
         rows = tuple(tuple(self.entries[i][j] for j in idx) for i in range(self.rows))
         return FormMatrix(self.field, src, self.dst, rows)
 
-    def select_rows(self, idx) -> "FormMatrix":
-        dst = tuple(self.dst[i] for i in idx)
-        rows = tuple(self.entries[i] for i in idx)
-        return FormMatrix(self.field, self.src, dst, rows)
-
     def evaluate(self, s, t, u, v) -> Matrix:
         vals = [[f.evaluate(s, t, u, v) for f in row] for row in self.entries]
         if not vals or not vals[0]:
@@ -323,11 +333,6 @@ def split_dim(i: int, s: SplitBundle, e: Twist) -> int:
     return sum(split_dims(i, s, e))
 
 
-def split_h(i: int, s: SplitBundle, e: Twist) -> list[CohBasis]:
-    """Concatenated summand bases of H^i of the shifted split bundle."""
-    return [coh_basis(i, deg_add(t, e)) for t in s]
-
-
 def induced_h(m: FormMatrix, i: int, e: Twist) -> Matrix:
     """Block matrix of H^i(src(e)) -> H^i(dst(e)) induced by a form matrix."""
     field = m.field
@@ -344,6 +349,22 @@ def induced_h(m: FormMatrix, i: int, e: Twist) -> Matrix:
             c0 += cd[bj]
         r0 += rd[bi]
     return Matrix(field, out)
+
+
+def constant_pairing(s: SplitBundle, t: Twist, sections: Matrix, cosections: Matrix) -> Matrix:
+    """Composites O(t) -> s -> O(t) as scalars: entry (i, j) is cosection j after section i.
+
+    Columns of sections lie in H0(s(-t)), columns of cosections in H0(s^v(t)).
+    A product of the two has a constant term only through a summand of twist
+    exactly t, where each side is one constant coordinate, so the pairing is
+    S^T C restricted to those coordinates.
+    """
+    dims = split_dims(0, s, (-t[0], -t[1]))
+    codims = split_dims(0, tuple((-a, -b) for a, b in s), t)
+    at = [k for k, a in enumerate(s) if a == t]
+    rows = sections.a[[sum(dims[:k]) for k in at]]
+    cols = cosections.a[[sum(codims[:k]) for k in at]]
+    return Matrix(sections.field, sections.field.matmul(rows.T, cols))
 
 
 def h0_mult_on_split(s: SplitBundle, f: BiForm, e: Twist) -> Matrix:

@@ -41,6 +41,7 @@ from .linecoh import (
     FormMatrix,
     SplitBundle,
     Twist,
+    constant_pairing,
     euler_char,
     h0_mult_on_split,
     induced_h,
@@ -49,7 +50,6 @@ from .linecoh import (
     kunneth_dim,
     sheaf_surjective,
     split_dim,
-    split_dims,
     spinor_shift,
 )
 
@@ -100,28 +100,6 @@ class ModelClass:
         return (self.pres.h1_model(self.e).proj @ self.vector)
 
 
-def _forms_from_vector(field, bundle: SplitBundle, e: Twist, vec) -> list[BiForm]:
-    """Cut a section vector of a shifted split bundle into one form per summand."""
-    dims = split_dims(0, bundle, e)
-    out, k = [], 0
-    for t, d in zip(bundle, dims):
-        deg = deg_add(t, e)
-        out.append(BiForm.from_vector(field, deg, vec[k : k + d]) if d else BiForm.zero(field, deg))
-        k += d
-    return out
-
-
-def _vector_from_forms(field, bundle: SplitBundle, e: Twist, forms) -> np.ndarray:
-    dims = split_dims(0, bundle, e)
-    v = field.zeros(sum(dims), 1)[:, 0]
-    k = 0
-    for t, d, f in zip(bundle, dims, forms):
-        if d:
-            v[k : k + d] = f.coefficient_vector()
-        k += d
-    return v
-
-
 class KerPresentation:
     """E = ker(g: A -> B) for a sheaf-surjective map of split bundles.
 
@@ -163,6 +141,24 @@ class KerPresentation:
 
     def h0_dim(self, e: Twist) -> int:
         return self.h0_space(e).cols
+
+    def cosection_space(self, t: Twist) -> Matrix:
+        """Columns: a basis of Hom(E, O(t)) inside H0(A^v(t)), as coset representatives.
+
+        Uses Hom(E, L) = coker(Hom(B, L) -> Hom(A, L)), which is exact once
+        Ext^1(B, L) vanishes; that holds whenever each twist of B differs from
+        the ACM twist L by a diagonal shift, in particular for free B.
+        """
+        key = ("cosec", t)
+        if key not in self._cache:
+            if not is_acm_twist(t):
+                raise ValueError(f"{t} is not an ACM twist")
+            for b in self.B:
+                if kunneth_dim(1, deg_sub(t, b)) != 0:
+                    raise PrereqVanishingFailed(f"Ext^1(O{b}, O{t}) is nonzero")
+            mat = induced_h(self.g.dual(), 0, t)  # Hom(B, L) -> Hom(A, L)
+            self._cache[key] = quotient_data(self.field, mat.rows, list(mat.columns()))[0]
+        return self._cache[key]
 
     # -- H1 -------------------------------------------------------------
     def h1_model(self, e: Twist) -> CokerModel:
@@ -288,16 +284,8 @@ def solve_form_system(u: FormMatrix, wt: FormMatrix) -> FormMatrix:
     """
     if u.dst != wt.dst:
         raise ValueError("targets differ")
-    field = u.field
-    cols = []
-    for r, rtw in enumerate(wt.src):
-        e = (-rtw[0], -rtw[1])
-        mat = induced_h(u, 0, e)
-        rhs = _vector_from_forms(field, wt.dst, e, [wt.entries[i][r] for i in range(wt.rows)])
-        x = mat.solve(rhs)
-        cols.append(_forms_from_vector(field, u.src, e, x))
-    rows = tuple(tuple(cols[r][p] for r in range(len(wt.src))) for p in range(len(u.src)))
-    return FormMatrix(field, wt.src, u.src, rows)
+    cols = [induced_h(u, 0, (-a, -b)).solve(wt.section(r)) for r, (a, b) in enumerate(wt.src)]
+    return FormMatrix.from_sections(u.field, wt.src, u.src, cols)
 
 
 def lift_lambda(psi: FormMatrix, gamma: "KerPresentation") -> FormMatrix:
@@ -325,34 +313,15 @@ def lift_lambda(psi: FormMatrix, gamma: "KerPresentation") -> FormMatrix:
 
 def hom_line_to_ker(p: KerPresentation, twist: Twist) -> list[FormMatrix]:
     """Basis of Hom(O(twist), E) as single-column form matrices into A."""
-    e = (-twist[0], -twist[1])
-    cols = []
-    for vec in p.h0_space(e).columns():
-        forms = _forms_from_vector(p.field, p.A, e, vec)
-        cols.append(FormMatrix(p.field, (twist,), p.A, tuple((f,) for f in forms)))
-    return cols
+    sections = p.h0_space((-twist[0], -twist[1]))
+    return [FormMatrix.from_sections(p.field, (twist,), p.A, [vec]) for vec in sections.columns()]
 
 
 def hom_ker_to_line(p: KerPresentation, twist: Twist) -> list[FormMatrix]:
-    """Basis of Hom(E, O(twist)) as single-row form matrices on A.
-
-    Uses Hom(E, L) = coker(Hom(B, L) -> Hom(A, L)), which is exact once
-    Ext^1(B, L) vanishes; that holds whenever each twist of B differs from
-    the ACM twist L by a diagonal shift, in particular for free B.
-    """
-    if not is_acm_twist(twist):
-        raise ValueError(f"{twist} is not an ACM twist")
-    for b in p.B:
-        if kunneth_dim(1, deg_sub(twist, b)) != 0:
-            raise PrereqVanishingFailed(f"Ext^1(O{b}, O{twist}) is nonzero")
-    dual = p.g.dual()
-    mat = induced_h(dual, 0, twist)  # Hom(B, L) -> Hom(A, L)
-    reps, _proj = quotient_data(p.field, mat.rows, list(mat.columns()))
-    out = []
-    for vec in reps.columns():
-        forms = _forms_from_vector(p.field, dual.dst, twist, vec)
-        out.append(FormMatrix(p.field, p.A, (twist,), (tuple(forms),)))
-    return out
+    """Basis of Hom(E, O(twist)) as single-row form matrices on A (see cosection_space)."""
+    dual_a, neg = tuple((-a, -b) for a, b in p.A), (-twist[0], -twist[1])
+    cosections = p.cosection_space(twist)
+    return [FormMatrix.from_sections(p.field, (neg,), dual_a, [vec]).dual() for vec in cosections.columns()]
 
 
 def summand_pairing(p: KerPresentation, twist: Twist) -> tuple[Matrix, list[FormMatrix], list[FormMatrix]]:
@@ -362,14 +331,8 @@ def summand_pairing(p: KerPresentation, twist: Twist) -> tuple[Matrix, list[Form
     some entry is nonzero (a nonzero composite in Hom(L, L) = k rescales to
     the identity).
     """
-    phis = hom_line_to_ker(p, twist)
-    pis = hom_ker_to_line(p, twist)
-    m = p.field.zeros(len(phis), len(pis))
-    for i, phi in enumerate(phis):
-        for j, pi in enumerate(pis):
-            comp = pi.compose(phi)
-            m[i, j] = comp.entries[0][0].constant_value()
-    return Matrix(p.field, m), phis, pis
+    pairing = constant_pairing(p.A, twist, p.h0_space((-twist[0], -twist[1])), p.cosection_space(twist))
+    return pairing, hom_line_to_ker(p, twist), hom_ker_to_line(p, twist)
 
 
 def _candidate_acm_twists(a: SplitBundle) -> list[Twist]:
@@ -596,8 +559,7 @@ def h1_spinor_class_of_column(p: KerPresentation, col: FormMatrix, e: Twist) -> 
         hdual = solve_form_system(proj.dual(), gx.dual())
     except NoSolution as exc:
         raise InternalInvariantViolation("pushed section does not factor through the Koszul column") from exc
-    h = hdual.dual()  # O(right) -> B
-    return _vector_from_forms(field, p.B, e, [h.entries[i][0] for i in range(h.rows)])
+    return hdual.dual().section(0)  # O(right) -> B, and right = -e
 
 
 def image_h1_split(kappa: FormMatrix, p: KerPresentation, spinor: int, d: int) -> Matrix:
@@ -626,10 +588,13 @@ def image_h1_split(kappa: FormMatrix, p: KerPresentation, spinor: int, d: int) -
 class MonadPresentation:
     """E = ker(psi) / im(kappa) for split bundles K -> A -> B.
 
-    kappa must be fiberwise injective; that is checked at random points of
-    the surface (Schwartz-Zippel over a 32003-element field makes the
-    failure probability negligible), because an exact check would need
-    minors over the bigraded ring.
+    kappa must be fiberwise injective.  With verify=True that is only
+    sampled: kappa is evaluated at random points whose four coordinates are
+    all nonzero, and its rank is checked there.  The degeneracy locus of a
+    bad kappa is a curve or finitely many points, so the samples can miss it
+    (kappa = (su, sv)^T: O(-1,-1) -> 2 O, degenerate on the line s = 0, is
+    accepted).  The exact test, surjectivity of the dual as a sheaf map, is
+    several hundred times slower on the benchmark's monads.
     """
 
     def __init__(self, kappa: FormMatrix, psi: FormMatrix, verify: bool = True, rng=None):
@@ -758,7 +723,3 @@ class MonadPresentation:
             if m.rows - m.rank() != 0:
                 return False
         return True
-
-
-def monad_h(i: int, monad: MonadPresentation, e: Twist) -> int:
-    return monad.dims_at(e)[i]

@@ -256,69 +256,48 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_OPTIONS = {
+    "field": dict(default=str(DEFAULT_PRIME), help="field for built-in examples and generators: a prime or 'rationals'"),
+    "format": dict(choices=("text", "records"), default="text"),
+    "seed": dict(type=int, default=1),
+    "trials": dict(type=int, default=200),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qhorrocks", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--field", default=str(DEFAULT_PRIME),
-                       help="field for built-in examples and generators: a prime or 'rationals'")
-        p.add_argument("--format", choices=("text", "records"), default="text")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--trials", type=int, default=200)
+    def command(name, fn, help, positionals=(), options=()):
+        """A subcommand that registers only the shared options its handler reads."""
+        p = sub.add_parser(name, help=help)
+        for arg in positionals:
+            p.add_argument(arg)
+        for opt in options:
+            p.add_argument(f"--{opt}", **_OPTIONS[opt])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("cohomology", help="h0/h1/h2 table over diagonal and spinor strips")
-    p.add_argument("bundle")
+    p = command("cohomology", cmd_cohomology, "h0/h1/h2 table over diagonal and spinor strips",
+                ["bundle"], ["field", "format"])
     p.add_argument("--window", default="-4..4")
-    common(p)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("invariants", help="extract the classifying triple")
-    p.add_argument("bundle")
-    common(p)
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("synthesize", help="build a monad from a triple file")
-    p.add_argument("triple")
-    common(p)
-    p.set_defaults(fn=cmd_synthesize)
-
-    p = sub.add_parser("roundtrip", help="synthesize then re-extract and compare")
-    p.add_argument("triple")
-    common(p)
-    p.set_defaults(fn=cmd_roundtrip)
-
-    p = sub.add_parser("strip-acm", help="remove split ACM line bundle summands")
-    p.add_argument("bundle")
-    common(p)
-    p.set_defaults(fn=cmd_strip_acm)
-
-    p = sub.add_parser("iso", help="decide isomorphism of two bundles or triples")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(fn=cmd_iso)
-
-    p = sub.add_parser("stability", help="section vanishing and jumping determinants")
-    p.add_argument("bundle")
-    common(p)
-    p.set_defaults(fn=cmd_stability)
-
-    p = sub.add_parser("random-module", help="seeded random module, e.g. --dims 1@0")
+    command("invariants", cmd_invariants, "extract the classifying triple", ["bundle"], ["field", "format"])
+    command("synthesize", cmd_synthesize, "build a monad from a triple file", ["triple"], ["field", "seed"])
+    command("roundtrip", cmd_roundtrip, "synthesize then re-extract and compare",
+            ["triple"], ["field", "format", "seed", "trials"])
+    command("strip-acm", cmd_strip_acm, "remove split ACM line bundle summands", ["bundle"], ["field"])
+    command("iso", cmd_iso, "decide isomorphism of two bundles or triples",
+            ["left", "right"], ["field", "format", "seed", "trials"])
+    command("stability", cmd_stability, "section vanishing and jumping determinants",
+            ["bundle"], ["field", "format"])
+    p = command("random-module", cmd_random_module, "seeded random module, e.g. --dims 1@0",
+                options=["field", "seed"])
     p.add_argument("--dims", required=True, help="dimension spec n@d[,n@d...]")
-    common(p)
-    p.set_defaults(fn=cmd_random_module)
-
-    p = sub.add_parser("random-triple", help="seeded random triple with admissible subspaces")
+    p = command("random-triple", cmd_random_triple, "seeded random triple with admissible subspaces",
+                options=["field", "seed"])
     p.add_argument("--dims", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_random_triple)
-
-    p = sub.add_parser("examples", help="list built-in example names")
-    common(p)
-    p.set_defaults(fn=cmd_examples)
-
+    command("examples", cmd_examples, "list built-in example names")
     return ap
 
 

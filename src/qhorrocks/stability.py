@@ -180,16 +180,22 @@ def _binary_roots(field, coeffs):
     return roots, work
 
 
+_ROOT_BLOCK = 1 << 16  # values per sweep step, so memory stays flat in p
+
+
 def _first_root_mod_p(field, coeffs):
-    """Smallest root of the dehomogenised polynomial, by a vectorised sweep."""
+    """Smallest root of the dehomogenised polynomial, by a vectorised sweep over blocks of F_p."""
     import numpy as np
 
-    xs = np.arange(field.p, dtype=np.int64)
-    total = np.zeros(field.p, dtype=np.int64)
-    for c in reversed(coeffs):
-        total = (total * xs + int(c)) % field.p
-    hits = np.nonzero(total == 0)[0]
-    return int(hits[0]) if hits.shape[0] else None
+    for start in range(0, field.p, _ROOT_BLOCK):
+        xs = np.arange(start, min(start + _ROOT_BLOCK, field.p), dtype=np.int64)
+        total = np.zeros_like(xs)
+        for c in reversed(coeffs):
+            total = (total * xs + int(c)) % field.p
+        hits = np.nonzero(total == 0)[0]
+        if hits.shape[0]:
+            return start + int(hits[0])
+    return None
 
 
 def _bump(roots, pt):

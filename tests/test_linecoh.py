@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField
-from qhorrocks.bipoly import BiForm, parse_biform
+from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField
+from qhorrocks.bipoly import BiForm, monomial_basis, parse_biform
 from qhorrocks.linecoh import (
     FormMatrix,
     MalformedMatrix,
     coh_action,
     coh_basis,
+    constant_pairing,
     euler_char,
     form_vstack,
     induced_h,
@@ -184,3 +186,78 @@ def test_euler_char():
     lhs = euler_char(((0, 1), (0, 1), (1, 0), (1, 0)))
     rhs = euler_char(((1, 1), (1, 1)))
     assert lhs - rhs == 0
+
+
+# ---------------------------------------------------------------------------
+# the section layout of form matrices and the constant pairing, over F_32003, F_5 and Q
+
+FIELDS = st.sampled_from([F, PrimeField(5), RationalField()])
+TWISTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+BUNDLES = st.lists(TWISTS, max_size=3).map(tuple)
+LAYOUT = settings(max_examples=60, deadline=None)
+
+
+def neg(t):
+    return (-t[0], -t[1])
+
+
+def draw_vector(data, field, n):
+    return field.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+
+
+def draw_form_matrix(data, field, src, dst):
+    rows = []
+    for d in dst:
+        row = []
+        for s in src:
+            deg = (d[0] - s[0], d[1] - s[1])
+            coeffs = {m: data.draw(st.integers(-3, 3)) for m in monomial_basis(deg)}
+            row.append(BiForm.make(field, deg, coeffs))
+        rows.append(row)
+    return FormMatrix.make(field, src, dst, rows)
+
+
+@LAYOUT
+@given(st.data())
+def test_from_sections_and_section_are_inverse(data):
+    field, src, dst = data.draw(FIELDS), data.draw(BUNDLES), data.draw(BUNDLES)
+    sections = [draw_vector(data, field, split_dim(0, dst, neg(t))) for t in src]
+    m = FormMatrix.from_sections(field, src, dst, sections)
+    assert (m.src, m.dst) == (src, dst)
+    for j, vec in enumerate(sections):
+        assert m.section(j).tolist() == vec.tolist()
+    forms = draw_form_matrix(data, field, src, dst)
+    again = FormMatrix.from_sections(field, src, dst, [forms.section(j) for j in range(len(src))])
+    assert again.entries == forms.entries
+
+
+@LAYOUT
+@given(st.data())
+def test_section_layout_is_the_h0_layout_of_induced_h(data):
+    field, src, dst, e = data.draw(FIELDS), data.draw(BUNDLES), data.draw(BUNDLES), data.draw(TWISTS)
+    m = draw_form_matrix(data, field, src, dst)
+    x = draw_vector(data, field, split_dim(0, src, e))
+    column = FormMatrix.from_sections(field, (neg(e),), m.src, [x])
+    assert (induced_h(m, 0, e) @ x).tolist() == m.compose(column).section(0).tolist()
+
+
+@LAYOUT
+@given(st.data())
+def test_constant_pairing_is_the_composite(data):
+    field, t = data.draw(FIELDS), data.draw(TWISTS)
+    s = data.draw(BUNDLES) + ((t,) if data.draw(st.booleans()) else ())
+    dual = tuple(neg(a) for a in s)
+    ns, nc = split_dim(0, s, neg(t)), split_dim(0, dual, t)
+    sections = Matrix.from_columns(
+        field, [draw_vector(data, field, ns) for _ in range(data.draw(st.integers(0, 3)))], rows_dim=ns
+    )
+    cosections = Matrix.from_columns(
+        field, [draw_vector(data, field, nc) for _ in range(data.draw(st.integers(0, 3)))], rows_dim=nc
+    )
+    got = constant_pairing(s, t, sections, cosections)
+    assert (got.rows, got.cols) == (sections.cols, cosections.cols)
+    for i, svec in enumerate(sections.columns()):
+        phi = FormMatrix.from_sections(field, (t,), s, [svec])
+        for j, cvec in enumerate(cosections.columns()):
+            pi = FormMatrix.from_sections(field, (neg(t),), dual, [cvec]).dual()
+            assert got.a[i, j] == pi.compose(phi).entries[0][0].constant_value()

@@ -197,6 +197,32 @@ def test_cli_examples_list(capsys):
     assert "lepotier" in names and "omega1" in names and len(names) == 9
 
 
+def test_each_subcommand_registers_only_the_options_it_reads():
+    import argparse
+
+    want = {
+        "cohomology": {"--field", "--format", "--window"},
+        "invariants": {"--field", "--format"},
+        "synthesize": {"--field", "--seed"},
+        "roundtrip": {"--field", "--format", "--seed", "--trials"},
+        "strip-acm": {"--field"},
+        "iso": {"--field", "--format", "--seed", "--trials"},
+        "stability": {"--field", "--format"},
+        "random-module": {"--field", "--seed", "--dims"},
+        "random-triple": {"--field", "--seed", "--dims"},
+        "examples": set(),
+    }
+    (sub,) = [a for a in qcli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == want
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "--seed", "3"])
+    assert exc.value.code == 2
+
+
 def test_cli_bad_file_exit2(capsys, tmp_path):
     path = tmp_path / "bad.bundle"
     path.write_text("field p=32003\nbundle gamma\nA: (0,0)\nB: (0,0)\ng:\n[not a poly]\n")

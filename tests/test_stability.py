@@ -141,3 +141,31 @@ def test_summand_permutation_leaves_report_invariant():
     assert rep.stable == base.stable
     assert rep.det_st.has_repeated_root == base.det_st.has_repeated_root
     assert sorted(rep.det_st.roots) == sorted(base.det_st.roots)
+
+
+def test_root_sweep_memory_stays_flat_in_p():
+    import tracemalloc
+
+    from qhorrocks.stability import _first_root_mod_p
+
+    big = PrimeField(1_000_003)  # p = 3 mod 4, so x^2 + 1 has no root and the sweep covers all of F_p
+    tracemalloc.start()
+    try:
+        assert _first_root_mod_p(big, [1, 0, 1]) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_root_sweep_finds_the_smallest_root_past_the_first_block():
+    from qhorrocks.stability import _first_root_mod_p
+
+    big = PrimeField(1_000_003)
+    # (x - 200000)(x - 900000)(x^2 + 1), coefficients of x^0 .. x^4
+    r1, r2 = 200_000, 900_000
+    coeffs = [r1 * r2, -(r1 + r2), r1 * r2 + 1, -(r1 + r2), 1]
+    assert _first_root_mod_p(big, [c % big.p for c in coeffs]) == r1
+    small = PrimeField(101)
+    for x in range(101):
+        assert _first_root_mod_p(small, [(-x) % 101, 1]) == x
