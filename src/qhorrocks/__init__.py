@@ -25,8 +25,6 @@ from .linecoh import (
 from .presheaf import (
     KerPresentation,
     MonadPresentation,
-    connecting_delta_spinor,
-    image_h1_split,
     lift_lambda,
     line_bundle_table,
     solve_form_system,

@@ -85,7 +85,9 @@ class PrimeField:
             x = x.strip()
             if "/" in x:
                 num, den = x.split("/")
-                return int(num) * self.inv(int(den) % self.p) % self.p
+                if int(den) % self.p == 0:
+                    raise ValueError(f"zero denominator in {x!r} over {self.name}")
+                return int(num) * self.inv(int(den)) % self.p
             x = int(x)
         if isinstance(x, Fraction):
             return int(x.numerator) * self.inv(int(x.denominator)) % self.p
@@ -149,7 +151,10 @@ class RationalField:
 
     def scalar(self, x) -> Fraction:
         if isinstance(x, str):
-            return Fraction(x.strip())
+            try:
+                return Fraction(x.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {x.strip()!r}") from None
         return Fraction(x)
 
     def random_scalar(self, rng) -> Fraction:

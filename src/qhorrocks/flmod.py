@@ -429,7 +429,12 @@ def socle_subspace(t: TriDiagModule, which: str) -> dict[int, Matrix]:
 
 
 def _commuting_space(m1: FinLengthModule, m2: FinLengthModule) -> tuple[list, dict]:
-    """Kernel basis of the linear conditions phi_{d+1} x_k = x_k' phi_d."""
+    """Kernel basis of the linear conditions phi_{d+1} x_k = x_k' phi_d.
+
+    phi_d: M1_d -> M2_d is stored row-major at layout[d] = (offset, rows,
+    cols), so the condition block of x_k out of degree d is
+    kron(I, x_k^T) on phi_{d+1} minus kron(x_k', I) on phi_d.
+    """
     fld = m1.field
     degrees = sorted(set(m1.support()) | set(m2.support()))
     layout = {}
@@ -438,47 +443,23 @@ def _commuting_space(m1: FinLengthModule, m2: FinLengthModule) -> tuple[list, di
         n1, n2 = m1.dim(d), m2.dim(d)
         layout[d] = (total, n2, n1)
         total += n1 * n2
-    rows = []
+    blocks = []
     for d in degrees:
+        r, c = m2.dim(d + 1), m1.dim(d)  # shape of the condition block
+        if r == 0 or c == 0:
+            continue
+        (off1, _, n1), (off, n2, _) = layout[d + 1], layout[d]
         for k in range(4):
-            x1 = m1.op(k, d)
-            x2 = m2.op(k, d)
-            r1, c1 = m2.dim(d + 1), m1.dim(d)  # shape of the condition block
-            if r1 == 0 or c1 == 0:
-                continue
-            for i in range(r1):
-                for j in range(c1):
-                    row = fld.zeros(1, total)[0, :]
-                    off, n2d1, n1d1 = layout.get(d + 1, (None, 0, 0))
-                    if off is not None and n2d1 and n1d1:
-                        for a in range(n1d1):
-                            if x1.a[a, j] != 0:
-                                row[off + i * n1d1 + a] = fld.scalar(row[off + i * n1d1 + a] + x1.a[a, j])
-                    offd, n2d, n1d = layout.get(d, (None, 0, 0))
-                    if offd is not None and n2d and n1d:
-                        for b in range(n2d):
-                            if x2.a[i, b] != 0:
-                                row[offd + b * n1d + j] = fld.scalar(row[offd + b * n1d + j] - x2.a[i, b])
-                    rows.append(row)
-    if not rows:
-        mat = Matrix.zeros(fld, 0, total)
-    else:
-        arr = fld.zeros(len(rows), total)
-        for i, r in enumerate(rows):
-            arr[i, :] = r
-        mat = Matrix(fld, arr)
+            block = fld.zeros(r * c, total)
+            block[:, off1 : off1 + r * n1] = np.kron(Matrix.identity(fld, r).a, m1.op(k, d).a.T)
+            block[:, off : off + n2 * c] -= np.kron(m2.op(k, d).a, Matrix.identity(fld, c).a)
+            blocks.append(fld.reduce(block))
+    mat = Matrix(fld, np.concatenate(blocks)) if blocks else Matrix.zeros(fld, 0, total)
     return mat.kernel_basis(), layout
 
 
 def _vec_to_maps(fld, vec, layout) -> dict[int, Matrix]:
-    out = {}
-    for d, (off, n2, n1) in layout.items():
-        a = fld.zeros(n2, n1)
-        for i in range(n2):
-            for j in range(n1):
-                a[i, j] = vec[off + i * n1 + j]
-        out[d] = Matrix(fld, a)
-    return out
+    return {d: Matrix(fld, vec[off : off + n2 * n1].reshape(n2, n1).copy()) for d, (off, n2, n1) in layout.items()}
 
 
 def _sample_iso(m1: FinLengthModule, basis, layout, trials: int, rng, accept):
@@ -492,10 +473,9 @@ def _sample_iso(m1: FinLengthModule, basis, layout, trials: int, rng, accept):
     if not basis:
         return None
     fld = m1.field
+    stacked = Matrix.from_columns(fld, basis)
     for trial in range(1, trials + 1):
-        vec = fld.zeros(len(basis[0]), 1)[:, 0]
-        for b in basis:
-            vec = fld.reduce(vec + b * fld.random_scalar(rng))
+        vec = stacked @ [fld.random_scalar(rng) for _ in basis]
         maps = _vec_to_maps(fld, vec, layout)
         if all(maps[d].rank() == m1.dim(d) for d in m1.support()):
             found = accept(maps)

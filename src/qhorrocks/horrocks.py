@@ -53,9 +53,9 @@ from .presheaf import (
     KerPresentation,
     MonadPresentation,
     VerificationFailed,
+    _candidate_acm_twists,
     delta_matrix,
     find_acm_summand,
-    image_h1_split,
     solve_form_system,
 )
 from .flmod import (
@@ -287,7 +287,7 @@ def _transported_images(monad: MonadPresentation, fam: dict, rho: FormMatrix, si
     """
     out = {}
     for d in sorted({-1 - k[side - 1] for k in monad.K if spinor_kind(k) == side}):
-        span = image_h1_split(monad.kappa, monad.fbar, side, d)
+        span = monad.h1k_map(spinor_shift(side, d)).column_space_basis()
         if span.cols == 0:
             continue
         if d not in fam:
@@ -478,14 +478,7 @@ def _subspace_constrained_basis(t1, t2, basis, layout):
         coeffs = cmat.kernel_basis()
     else:
         coeffs = list(Matrix.identity(fld, len(basis)).columns())
-    out = []
-    for c in coeffs:
-        vec = fld.zeros(len(basis[0]), 1)[:, 0]
-        for i, b in enumerate(basis):
-            if c[i] != 0:
-                vec = fld.reduce(vec + b * c[i])
-        out.append(vec)
-    return out
+    return list((Matrix.from_columns(fld, basis) @ Matrix.from_columns(fld, coeffs, rows_dim=len(basis))).columns())
 
 
 def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]):
@@ -565,22 +558,9 @@ def monad_has_acm_summand(monad: MonadPresentation) -> bool:
     if monad.rank <= 0:
         return False
     dual = MonadPresentation(monad.psi.dual(), monad.kappa.dual(), verify=False)
-    twists = list(monad.A) + list(monad.K)
-    lo = min(min(t) for t in twists)
-    hi = max(max(t) for t in twists)
-    for x in range(lo, hi + 1):
-        for y in range(lo, hi + 1):
-            if abs(x - y) > 1:
-                continue
-            l = (x, y)
-            n1 = monad.h0_dim((-x, -y))
-            if n1 == 0:
-                continue
-            n2 = dual.h0_dim(l)
-            if n2 == 0:
-                continue
-            if _monad_pairing_nonzero(monad, l):
-                return True
+    for x, y in _candidate_acm_twists((*monad.A, *monad.K)):
+        if monad.h0_dim((-x, -y)) and dual.h0_dim((x, y)) and _monad_pairing_nonzero(monad, (x, y)):
+            return True
     return False
 
 

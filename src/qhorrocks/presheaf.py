@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import Matrix, NoSolution, hstack, quotient_data, span_basis, vstack
+from .exactla import Matrix, NoSolution, hstack, quotient_data, vstack
 from .bipoly import BiForm, deg_add, deg_sub
 from .linecoh import (
     FormMatrix,
@@ -86,18 +86,6 @@ class CokerModel:
     @property
     def dim(self) -> int:
         return self.reps.cols
-
-
-@dataclass
-class ModelClass:
-    """An H1 class carried by an explicit section vector of B(e)."""
-
-    pres: "KerPresentation"
-    e: Twist
-    vector: np.ndarray
-
-    def coords(self) -> np.ndarray:
-        return (self.pres.h1_model(self.e).proj @ self.vector)
 
 
 class KerPresentation:
@@ -471,59 +459,39 @@ def _koszul_data(field, kind: int, q: int):
     return left, right, inc, proj
 
 
-def connecting_delta_spinor(p: KerPresentation, j: int, w: np.ndarray, d: int) -> ModelClass:
-    """Connecting map of the twisted Euler sequence on a presented bundle F.
-
-    For j = 2 the input w is a section vector of F tensor O(0,1) twisted by
-    -d, given in H0(A(-d, -d+1)) coordinates and annihilated by the induced
-    map of the presentation.  The output is its image class in
-    H1(F(-d, -d-1)), carried by a section vector of B.  Mirrored for j = 1.
-
-    Chase: lift w over [u, v] through sections of 2 A(-d) (possible because
-    the twists of A there are ACM), push into B, and divide the resulting
-    pair by the Koszul column (-v, u)^T, which is exact on sections.
-    """
-    field = p.field
-    if j == 2:
-        e_src, e_mid, e_dst = (-d, -d + 1), (-d, -d), (-d, -d - 1)
-        f1 = BiForm.variable(field, "u")
-        f2 = BiForm.variable(field, "v")
-    else:
-        e_src, e_mid, e_dst = (-d + 1, -d), (-d, -d), (-d - 1, -d)
-        f1 = BiForm.variable(field, "s")
-        f2 = BiForm.variable(field, "t")
-    mul1 = h0_mult_on_split(p.A, f1, e_mid)
-    mul2 = h0_mult_on_split(p.A, f2, e_mid)
-    lifted = hstack([mul1, mul2]).solve(np.asarray(w))
-    n = split_dim(0, p.A, e_mid)
-    w1, w2 = lifted[:n], lifted[n:]
-    g0 = p.h_matrix(0, e_mid)
-    p1, p2 = g0 @ w1, g0 @ w2
-    mneg2 = h0_mult_on_split(p.B, -f2, e_dst)
-    mpos1 = h0_mult_on_split(p.B, f1, e_dst)
-    try:
-        h = vstack([mneg2, mpos1]).solve(np.concatenate([p1, p2]))
-    except NoSolution as exc:
-        raise InternalInvariantViolation("Koszul factorisation failed; input was not a section") from exc
-    return ModelClass(p, e_dst, h)
-
-
 def delta_matrix(p: KerPresentation, j: int, d: int) -> tuple[Matrix, Matrix]:
     """All of H0(F x Sigma_j(-d)) and the matrix of the connecting map on it.
 
     Returns (sections, delta) where sections columns form the kernel basis at
     the source shift and delta maps them into coordinates of the H1 model at
-    the target shift.
+    the target shift.  For j = 2 the sections live in H0(A(-d, -d+1)) and the
+    classes in H1(F(-d, -d-1)); mirrored for j = 1.
+
+    Chase, on all sections at once: lift over [u, v] through sections of
+    2 A(-d) (possible because the twists of A there are ACM), push into B,
+    and divide the resulting pair by the Koszul column (-v, u)^T, which is
+    exact on sections.
     """
-    e_src = (-d, -d + 1) if j == 2 else (-d + 1, -d)
-    e_dst = (-d, -d - 1) if j == 2 else (-d - 1, -d)
+    field = p.field
+    if j == 2:
+        e_src, e_mid, e_dst = (-d, -d + 1), (-d, -d), (-d, -d - 1)
+        f1, f2 = BiForm.variable(field, "u"), BiForm.variable(field, "v")
+    else:
+        e_src, e_mid, e_dst = (-d + 1, -d), (-d, -d), (-d - 1, -d)
+        f1, f2 = BiForm.variable(field, "s"), BiForm.variable(field, "t")
     sections = p.h0_space(e_src)
     model = p.h1_model(e_dst)
-    cols = []
-    for vec in sections.columns():
-        cls = connecting_delta_spinor(p, j, vec, d)
-        cols.append(model.proj @ cls.vector)
-    return sections, Matrix.from_columns(p.field, cols, rows_dim=model.dim)
+    mul = hstack([h0_mult_on_split(p.A, f1, e_mid), h0_mult_on_split(p.A, f2, e_mid)])
+    lifted = mul.solve_matrix(sections)
+    n = split_dim(0, p.A, e_mid)
+    g0 = p.h_matrix(0, e_mid)
+    pushed = vstack([g0 @ Matrix(field, lifted.a[:n]), g0 @ Matrix(field, lifted.a[n:])])
+    koszul = vstack([h0_mult_on_split(p.B, -f2, e_dst), h0_mult_on_split(p.B, f1, e_dst)])
+    try:
+        h = koszul.solve_matrix(pushed)
+    except NoSolution as exc:
+        raise InternalInvariantViolation("Koszul factorisation failed; input was not a section") from exc
+    return sections, model.proj @ h
 
 
 def h1_spinor_class_of_column(p: KerPresentation, col: FormMatrix, e: Twist) -> np.ndarray:
@@ -560,25 +528,6 @@ def h1_spinor_class_of_column(p: KerPresentation, col: FormMatrix, e: Twist) -> 
     except NoSolution as exc:
         raise InternalInvariantViolation("pushed section does not factor through the Koszul column") from exc
     return hdual.dual().section(0)  # O(right) -> B, and right = -e
-
-
-def image_h1_split(kappa: FormMatrix, p: KerPresentation, spinor: int, d: int) -> Matrix:
-    """Span of the H1 image of the K columns in the spinor-shifted coker model.
-
-    spinor selects the tensoring line bundle O(1,0) (1) or O(0,1) (2); d is
-    the module degree, so the shift is (d+1, d) or (d, d+1).  Each K summand
-    with one-dimensional H1 there contributes the class of its column.
-    """
-    e = spinor_shift(spinor, d)
-    model = p.h1_model(e)
-    cols = []
-    for j, k in enumerate(kappa.src):
-        if kunneth_dim(1, deg_add(k, e)) == 0:
-            continue
-        col = kappa.select_columns([j])
-        vec = h1_spinor_class_of_column(p, col, e)
-        cols.append(model.proj @ vec)
-    return span_basis(p.field, cols, model.dim)
 
 
 # ---------------------------------------------------------------------------

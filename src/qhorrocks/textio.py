@@ -50,7 +50,10 @@ def _parse_header(lines):
         lines.pop(0)
     if not lines or not lines[0].startswith("field"):
         raise ParseError("missing field header")
-    field = get_field(lines.pop(0).split(None, 1)[1])
+    header = lines.pop(0).split(None, 1)
+    if len(header) < 2:
+        raise ParseError("field header names no field")
+    field = get_field(header[1])
     while lines and not lines[0].strip():
         lines.pop(0)
     if not lines:

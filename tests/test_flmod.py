@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField
+from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField, RationalField
 from qhorrocks.bipoly import parse_biform
 from qhorrocks.linecoh import FormMatrix
 from qhorrocks.presheaf import KerPresentation
@@ -163,7 +163,7 @@ def _random_presentation(rng):
     return minimal_presentation(_quotient_module(rng, dims))
 
 
-def _quotient_module(rng, target_dims):
+def _quotient_module(rng, target_dims, F=F):
     """Random quotient of a free module: dims as requested, operators induced."""
     from qhorrocks.bipoly import BiForm
     from qhorrocks.linecoh import h0_mult_on_split, split_dims
@@ -332,8 +332,9 @@ def test_module_iso_rejects_modules_over_different_fields():
         module_iso(k_module((0, 1)), FinLengthModule(PrimeField(7), {0: 1}, {}))
 
 
-def test_module_iso_conjugated():
-    m = _quotient_module(random.Random(13), {0: 2, 1: 3})
+@pytest.mark.parametrize("F", [F, PrimeField(5), RationalField()], ids=lambda f: f.name)
+def test_module_iso_conjugated(F):
+    m = _quotient_module(random.Random(13), {0: 2, 1: 3}, F)
     rng = random.Random(4)
     # conjugate by random invertible degreewise maps
     from qhorrocks.exactla import random_matrix

@@ -3,20 +3,36 @@ import random
 import numpy as np
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, span_basis, subspace_equal
+from qhorrocks.exactla import (
+    DEFAULT_PRIME,
+    Matrix,
+    PrimeField,
+    RationalField,
+    hstack,
+    span_basis,
+    subspace_equal,
+    vstack,
+)
 from qhorrocks.bipoly import BiForm, parse_biform
-from qhorrocks.linecoh import FormMatrix, form_hstack, form_vstack, induced_h, kunneth_dim
+from qhorrocks.linecoh import (
+    FormMatrix,
+    form_hstack,
+    form_vstack,
+    h0_mult_on_split,
+    induced_h,
+    kunneth_dim,
+    spinor_shift,
+    split_dim,
+)
 from qhorrocks.presheaf import (
     KerPresentation,
     MonadPresentation,
     NotSurjective,
     PrereqVanishingFailed,
-    connecting_delta_spinor,
     delta_matrix,
     find_acm_summand,
     hom_ker_to_line,
     hom_line_to_ker,
-    image_h1_split,
     lift_lambda,
     line_bundle_table,
     solve_form_system,
@@ -27,15 +43,15 @@ from qhorrocks.presheaf import (
 F = PrimeField(DEFAULT_PRIME)
 
 
-def gm(src, dst, rows_text):
+def gm(src, dst, rows_text, field=F):
     rows = []
     for i, row in enumerate(rows_text):
         r = []
         for j, cell in enumerate(row):
             want = (dst[i][0] - src[j][0], dst[i][1] - src[j][1])
-            r.append(parse_biform(F, cell, want))
+            r.append(parse_biform(field, cell, want))
         rows.append(r)
-    return FormMatrix.make(F, tuple(src), tuple(dst), rows)
+    return FormMatrix.make(field, tuple(src), tuple(dst), rows)
 
 
 def omega1():
@@ -246,12 +262,37 @@ def test_connecting_delta_on_omega1():
     assert delta.rows == 2 and delta.rank() == 2
 
 
-def test_connecting_delta_linear_zero():
-    p = omega1()
-    zero = np.zeros(8, dtype=np.int64)
-    # w = 0 lives in H0(A(1,2)) which is 8-dimensional
-    cls = connecting_delta_spinor(p, 2, zero, -1)
-    assert np.all(cls.coords() == 0)
+def _delta_column(p, j, w, d):
+    """Reference: the connecting map on one section vector, chased on its own.
+
+    Lift w over (f1, f2) through sections of 2 A(-d, -d), push into B and
+    divide by the Koszul column (-f2, f1)^T; return H1 model coordinates.
+    """
+    e_mid = (-d, -d)
+    e_dst = (-d, -d - 1) if j == 2 else (-d - 1, -d)
+    f1, f2 = (BiForm.variable(p.field, v) for v in ("uv" if j == 2 else "st"))
+    lifted = hstack([h0_mult_on_split(p.A, f1, e_mid), h0_mult_on_split(p.A, f2, e_mid)]).solve(w)
+    n = split_dim(0, p.A, e_mid)
+    g0 = induced_h(p.g, 0, e_mid)
+    pushed = np.concatenate([g0 @ lifted[:n], g0 @ lifted[n:]])
+    h = vstack([h0_mult_on_split(p.B, -f2, e_dst), h0_mult_on_split(p.B, f1, e_dst)]).solve(pushed)
+    return p.h1_model(e_dst).proj @ h
+
+
+@pytest.mark.parametrize("field", [F, PrimeField(5), RationalField()], ids=lambda f: f.name)
+@pytest.mark.parametrize("forms", [["x0", "x1", "x2", "x3"], ["x0", "x2", "x1", "x3"]], ids=["omega1", "mirror"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_delta_matrix_matches_per_vector_chase(field, forms, j):
+    # the mirror swaps s <-> u and t <-> v, which exchanges x1 and x2; at
+    # d = -1 both H0(F x Sigma_j(-d)) and the target H1 are nonzero
+    p = KerPresentation(gm([(-1, -1)] * 4, [(0, 0)], [forms], field=field))
+    d = -1
+    sections, delta = delta_matrix(p, j, d)
+    e_src = (-d, -d + 1) if j == 2 else (-d + 1, -d)
+    assert sections == p.h0_space(e_src) and sections.cols > 0
+    assert delta.cols == sections.cols and not delta.is_zero()
+    for k in range(sections.cols):
+        assert list(delta.col(k)) == list(_delta_column(p, j, sections.col(k), d))
 
 
 def test_image_h1_split_mirror_case():
@@ -261,8 +302,8 @@ def test_image_h1_split_mirror_case():
     sections, delta = delta_matrix(p, 2, -1)
     # build kappa from the first section
     kappa = FormMatrix.from_sections(F, ((-1, -2),), p.A, [sections.col(0)])
-    span = image_h1_split(kappa, p, 1, 0)
-    assert span.rows == 2 and span.cols == 1
+    images = MonadPresentation(kappa, p.g, verify=False).h1k_map(spinor_shift(1, 0))
+    assert images.rows == 2 and images.cols == 1 and images.rank() == 1
 
 
 def test_monad_degenerate_equals_kernel():

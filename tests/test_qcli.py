@@ -230,6 +230,37 @@ def test_cli_bad_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+O20_ROWS = "A: (-1,0) (-1,0)\nB: (0,0)\ng:\n[{}*s, t]\n"
+TRIPLE_BODY = "triple\nmodule\ndegrees 0..1\ndim 0: 1\ndim 1: 1\nx0 0: {}\nx1 0: 1\nx2 0: 1\nx3 0: 1\n"
+
+
+MALFORMED = {
+    "zero.bundle": "field p=32003\nbundle gamma\n" + O20_ROWS.format("1/0"),
+    "p.bundle": "field p=32003\nbundle gamma\n" + O20_ROWS.format("1/32003"),
+    "q.bundle": "field rationals\nbundle gamma\n" + O20_ROWS.format("1/0"),
+    "module.triple": "field p=32003\n" + TRIPLE_BODY.format("1/0"),
+    "q.triple": "field rationals\n" + TRIPLE_BODY.format("1/0"),
+    "sub.triple": "field p=32003\ntriple\nmodule\ndegrees 0..0\ndim 0: 1\nV 0: 1/0,1\n",
+    "bare.bundle": "field\nbundle gamma\n" + O20_ROWS.format("1"),
+    "bare.triple": "field\n" + TRIPLE_BODY.format("1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("invariants", n) for n in MALFORMED if n.endswith(".bundle")]
+    + [("synthesize", n) for n in MALFORMED if n.endswith(".triple")]
+    + [("iso", "bare.triple")],
+)
+def test_cli_malformed_scalar_or_header_exit2(capsys, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_text(MALFORMED[name])
+    paths = [str(path)] * (2 if command == "iso" else 1)
+    code, out, err = run_cli(capsys, command, *paths)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_iso_of_triples_over_different_fields_exit2(capsys, tmp_path):
     paths = []
     for field in ("32003", "7"):
