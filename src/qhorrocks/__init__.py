@@ -9,7 +9,7 @@ bundle from a valid triple) and an isomorphism test on triples are included,
 along with a CLI, text file formats and a corpus of worked fixture matrices.
 """
 
-from .exactla import DEFAULT_PRIME, Matrix, NoSolution, PrimeField, RationalField, get_field
+from .exactla import DEFAULT_PRIME, Matrix, NoSolution, PrimeField, QhorrocksError, RationalField, get_field
 from .bipoly import BiForm, ParseError, monomial_basis, parse_biform, sq_piece
 from .linecoh import (
     FormMatrix,

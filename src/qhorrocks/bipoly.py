@@ -19,11 +19,15 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .exactla import QhorrocksError
+
 BiDegree = tuple[int, int]
 
 
-class ParseError(ValueError):
+class ParseError(QhorrocksError, ValueError):
     """Raised on malformed polynomial or file text."""
+
+    exit_code = 2
 
 
 def deg_add(d: BiDegree, e: BiDegree) -> BiDegree:

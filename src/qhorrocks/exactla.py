@@ -2,11 +2,17 @@
 
 Every computation in the package bottoms out here: ranks, kernel bases,
 linear solves and quotient projections of dense matrices.  Two scalar
-backends share one elimination code path: residues mod a prime p stored in
-int64 numpy arrays (vectorised row operations), and arbitrary-precision
-`fractions.Fraction` stored in object arrays.  Pivoting is deterministic
-(first nonzero entry), so every basis produced anywhere downstream is
-reproducible across runs.
+backends share one elimination loop, `_rref`: residues mod a prime p stored
+in int64 numpy arrays, and arbitrary-precision `fractions.Fraction` stored in
+object arrays.  Each pivot updates only the rows with a nonzero entry in its
+column and only the columns from it rightwards.  Over F_p the reduction mod p
+is delayed (Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
+prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008): only the
+pivot column and row are reduced before use, the rest of the matrix once per
+`PrimeField._block` updates and at the end; over Q the reductions are no-ops.
+A rank needs only the forward half of the elimination, and a `Matrix`
+remembers its rank.  Pivoting is deterministic (first nonzero entry), so
+every basis produced anywhere downstream is reproducible across runs.
 """
 
 from __future__ import annotations
@@ -18,15 +24,25 @@ from fractions import Fraction
 import numpy as np
 
 DEFAULT_PRIME = 32003
-MAX_PRIME = 3_037_000_499  # (p - 1)**2 < 2**63: a row update in _rref cannot overflow int64
+MAX_PRIME = 3_037_000_499  # (p - 1)**2 < 2**63, so PrimeField._block is at least 1
 
 
-class NoSolution(Exception):
+class QhorrocksError(Exception):
+    """Base of the package's exceptions; `exit_code` is the CLI's exit status when one escapes."""
+
+    exit_code = 1
+
+
+class NoSolution(QhorrocksError):
     """Raised when a right-hand side is not in the column space."""
 
+    exit_code = 1
 
-class FieldMismatch(TypeError):
+
+class FieldMismatch(QhorrocksError, TypeError):
     """Raised when values from two different fields are combined."""
+
+    exit_code = 2
 
 
 class PrimeField:
@@ -38,7 +54,9 @@ class PrimeField:
         if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"not a prime: {p}")
         self.p = p
-        # inner-dimension block whose products, plus one residue, stay below 2**63
+        # how many products (p - 1)**2 can add to one residue and stay below 2**63:
+        # the inner-dimension block of matmul, and the row updates _rref makes
+        # between two reductions of the whole matrix
         self._block = (2**63 - p) // (p - 1) ** 2
 
     @property
@@ -180,14 +198,20 @@ def get_field(spec) -> PrimeField | RationalField:
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """A dense matrix over a fixed field.  Immutable; all ops return new values."""
+    """A dense matrix over a fixed field.  Immutable; all ops return new values.
+
+    The array is frozen on construction, so the rank, once computed by
+    `rank()` or `kernel_basis()`, is remembered.
+    """
 
     field: PrimeField | RationalField
-    a: np.ndarray  # 2-D, row-major
+    a: np.ndarray  # 2-D, row-major, read-only
 
     def __post_init__(self):
         if self.a.ndim != 2:
             raise ValueError("matrix storage must be 2-D")
+        self.a.flags.writeable = False
+        object.__setattr__(self, "_rank", None)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -280,11 +304,15 @@ class Matrix:
 
     # -- elimination read-outs -----------------------------------------
     def rank(self) -> int:
-        return len(_rref(self.field, self.a)[1])
+        if self._rank is None:
+            object.__setattr__(self, "_rank", len(_rref(self.field, self.a, reduced=False)[1]))
+        return self._rank
 
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of the right kernel, one vector per non-pivot column."""
-        return list(_kernel(self.field, self.a)[0])
+        k, free = _kernel(self.field, self.a)
+        object.__setattr__(self, "_rank", self.cols - len(free))
+        return list(k)
 
     def kernel_matrix(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.kernel_basis(), rows_dim=self.cols)
@@ -292,7 +320,7 @@ class Matrix:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """One exact solution of self @ x = rhs, free variables set to zero."""
         sol = self.solve_matrix(Matrix.from_columns(self.field, [np.asarray(rhs)], rows_dim=self.rows))
-        return sol.a[:, 0]
+        return sol.col(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs column-wise; raises NoSolution if any column fails."""
@@ -314,29 +342,47 @@ class Matrix:
         return span_basis(self.field, self.a.T, self.rows)
 
 
-def _rref(field, a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _rref(field, a: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Gauss-Jordan elimination: the reduced row echelon form of a and its pivot columns.
+
+    Each pivot updates only columns c: (every row from r down is already zero
+    left of c) and only the rows whose pivot-column entry is nonzero.  Over
+    F_p the entries are reduced lazily: the pivot column and the pivot row
+    before they are used, the rest of the matrix only when one more update
+    could overflow int64 (after `PrimeField._block` updates) and once at the
+    end.  With reduced=False only the rows below each pivot are cleared: a row
+    echelon form with the same pivots, enough for a rank.
+    """
     a = a.copy()
     m, n = a.shape
+    budget = field._block if field.p else math.inf  # updates before an entry could overflow
+    pending = 0  # updates since the matrix was last reduced
     pivots = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        nz = np.nonzero(a[r:, c] != 0)[0]
+        top = 0 if reduced else r
+        a[top:, c] = field.reduce(a[top:, c])
+        nz = np.flatnonzero(a[r:, c])
         if nz.shape[0] == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i], :] = a[[i, r], :]
-        inv = field.inv(a[r, c])
-        a[r, :] = field.reduce(a[r, :] * inv)
-        col = a[:, c].copy()
-        col[r] = 0 * col[r]
-        a -= np.outer(col, a[r, :])
-        a = field.reduce(a)
+            a[[r, i], c:] = a[[i, r], c:]
+        prow = field.reduce(field.reduce(a[r, c:]) * field.inv(a[r, c]))
+        a[r, c:] = prow
+        live = top + np.flatnonzero(a[top:, c])
+        live = live[live != r]
+        if live.shape[0]:
+            if pending == budget:
+                a[top:, c:] = field.reduce(a[top:, c:])
+                pending = 0
+            a[live, c:] -= np.outer(a[live, c], prow)
+            pending += 1
         pivots.append(c)
         r += 1
-    return a, tuple(pivots)
+    return field.reduce(a), tuple(pivots)
 
 
 def _kernel(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -22,18 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import FieldMismatch, Matrix, quotient_data
+from .exactla import FieldMismatch, Matrix, QhorrocksError, quotient_data
 from .bipoly import BiForm, monomial_basis, monomial_factor_path
 from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, induced_h, split_dims
 from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed
 
 
-class InvalidModule(ValueError):
+class InvalidModule(QhorrocksError, ValueError):
     """A module whose operators break commutation, the quadric relation, or finiteness."""
 
+    exit_code = 2
 
-class BoundExceeded(RuntimeError):
+
+class BoundExceeded(QhorrocksError, RuntimeError):
     """Relation search outgrew its escalation budget."""
+
+    exit_code = 1
 
 
 X_FORMS = ("x0", "x1", "x2", "x3")

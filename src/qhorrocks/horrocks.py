@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import FieldMismatch, Matrix, NoSolution, preimage_basis, quotient_data, span_basis, subspace_equal
+from .exactla import FieldMismatch, Matrix, NoSolution, QhorrocksError, preimage_basis, quotient_data, span_basis, subspace_equal
 from .bipoly import BiForm
 from .linecoh import (
     FormMatrix,
@@ -72,20 +72,28 @@ from .flmod import (
 )
 
 
-class NotMinimalGamma(ValueError):
+class NotMinimalGamma(QhorrocksError, ValueError):
     """Input presentation still carries ACM summands or a non-minimal shape."""
 
+    exit_code = 3
 
-class NotGammaForm(ValueError):
+
+class NotGammaForm(QhorrocksError, ValueError):
     """Kernel presentation whose middle term is not a sum of ACM twists."""
 
+    exit_code = 3
 
-class LiftFailed(RuntimeError):
+
+class LiftFailed(QhorrocksError, RuntimeError):
     """No section maps onto a requested connecting class; socle data invalid."""
 
+    exit_code = 1
 
-class ExactnessViolation(AssertionError):
+
+class ExactnessViolation(QhorrocksError, AssertionError):
     """The four-term alternating dimension sum failed in some degree."""
+
+    exit_code = 1
 
 
 @dataclass

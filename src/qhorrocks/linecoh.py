@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exactla import Matrix
+from .exactla import Matrix, QhorrocksError
 from .bipoly import BiForm, deg_add, deg_sub
 
 Twist = tuple[int, int]
@@ -36,12 +36,16 @@ SIGMA1: Twist = (1, 0)
 SIGMA2: Twist = (0, 1)
 
 
-class MalformedMatrix(ValueError):
+class MalformedMatrix(QhorrocksError, ValueError):
     """Raised when a form matrix entry does not fit its twist slot."""
 
+    exit_code = 2
 
-class Undecided(RuntimeError):
+
+class Undecided(QhorrocksError, RuntimeError):
     """Raised when window widening cannot settle sheaf surjectivity."""
+
+    exit_code = 2
 
 
 def is_acm_twist(t: Twist) -> bool:
@@ -144,9 +148,7 @@ def _coh_action_cached(f: BiForm, i: int, t: Twist) -> Matrix:
             k = dst_idx.get(tgt)
             if k is not None:
                 m[k, col] = field.scalar(m[k, col] + c)
-    out = Matrix(field, m)
-    out.a.setflags(write=False)
-    return out
+    return Matrix(field, m)
 
 
 def coh_action(f: BiForm, i: int, t: Twist) -> Matrix:

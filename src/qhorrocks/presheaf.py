@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import Matrix, NoSolution, hstack, quotient_data, vstack
+from .exactla import Matrix, NoSolution, QhorrocksError, hstack, quotient_data, vstack
 from .bipoly import BiForm, deg_add, deg_sub
 from .linecoh import (
     FormMatrix,
@@ -54,20 +54,28 @@ from .linecoh import (
 )
 
 
-class PrereqVanishingFailed(RuntimeError):
+class PrereqVanishingFailed(QhorrocksError, RuntimeError):
     """A coker/kernel model was requested at a shift where its hypothesis fails."""
 
+    exit_code = 3
 
-class NotSurjective(ValueError):
+
+class NotSurjective(QhorrocksError, ValueError):
     """The presenting map is not surjective as a map of sheaves."""
 
+    exit_code = 2
 
-class VerificationFailed(RuntimeError):
+
+class VerificationFailed(QhorrocksError, RuntimeError):
     """A recomputation check (table additivity, module match) failed."""
 
+    exit_code = 1
 
-class InternalInvariantViolation(RuntimeError):
+
+class InternalInvariantViolation(QhorrocksError, RuntimeError):
     """A step the theory guarantees to succeed did not; indicates invalid input."""
+
+    exit_code = 1
 
 
 @dataclass
@@ -543,7 +551,8 @@ class MonadPresentation:
     bad kappa is a curve or finitely many points, so the samples can miss it
     (kappa = (su, sv)^T: O(-1,-1) -> 2 O, degenerate on the line s = 0, is
     accepted).  The exact test, surjectivity of the dual as a sheaf map, is
-    several hundred times slower on the benchmark's monads.
+    about 70 times slower on the benchmark's 25 roundtrip monads: 10.7 s
+    against 0.16 s for the 50 samples, cold caches, on a 2-CPU 2.0 GHz Xeon VM.
     """
 
     def __init__(self, kappa: FormMatrix, psi: FormMatrix, verify: bool = True, rng=None):

@@ -23,31 +23,11 @@ import argparse
 import random
 import sys
 
-from .exactla import DEFAULT_PRIME, FieldMismatch, NoSolution, get_field
-from .bipoly import ParseError
-from .linecoh import Undecided
-from .presheaf import (
-    InternalInvariantViolation,
-    MonadPresentation,
-    NotSurjective,
-    PrereqVanishingFailed,
-    VerificationFailed,
-    strip_acm,
-)
-from .flmod import BoundExceeded, InvalidModule
-from .horrocks import (
-    ExactnessViolation,
-    HorrocksTriple,
-    LiftFailed,
-    NotGammaForm,
-    NotMinimalGamma,
-    extract_invariants,
-    roundtrip,
-    synthesize,
-    triple_iso,
-)
+from .exactla import DEFAULT_PRIME, QhorrocksError, get_field
+from .presheaf import MonadPresentation, strip_acm
+from .horrocks import HorrocksTriple, extract_invariants, roundtrip, synthesize, triple_iso
 from .generate import random_module, random_triple
-from .stability import ShapeMismatch, le_potier_check
+from .stability import le_potier_check
 from . import fixtures, textio
 
 
@@ -76,7 +56,7 @@ def _load_bundle(token: str, args):
     text = _read_source(token, get_field(args.field))
     try:
         return textio.parse_bundle_text(text)
-    except (ParseError, NotSurjective, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bundle load failed: {exc}", 2) from exc
 
 
@@ -84,7 +64,7 @@ def _load_triple(token: str, args) -> HorrocksTriple:
     text = _read_source(token, get_field(args.field))
     try:
         return textio.parse_triple_text(text)
-    except (ParseError, InvalidModule, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"triple load failed: {exc}", 2) from exc
 
 
@@ -97,7 +77,7 @@ def _load_any(token: str, args):
         if lines[1].strip() == "triple":
             return textio.parse_triple_text(text)
         return textio.parse_bundle_text(text)
-    except (ParseError, InvalidModule, NotSurjective, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"load failed: {exc}", 2) from exc
 
 
@@ -301,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_EXIT_LABELS = {1: "verification failed", 2: "error", 3: "precondition"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -308,22 +291,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NotMinimalGamma, NotGammaForm, ShapeMismatch, PrereqVanishingFailed) as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, InvalidModule, NotSurjective, Undecided, FieldMismatch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        VerificationFailed,
-        InternalInvariantViolation,
-        LiftFailed,
-        BoundExceeded,
-        ExactnessViolation,
-        NoSolution,
-    ) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    except (QhorrocksError, ValueError) as exc:
+        code = exc.exit_code if isinstance(exc, QhorrocksError) else 2
+        print(f"{_EXIT_LABELS[code]}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiForm
-from .exactla import PrimeField
+from .exactla import PrimeField, QhorrocksError
 from .linecoh import FormMatrix, spinor_kind
 from .presheaf import KerPresentation
 
 
-class ShapeMismatch(ValueError):
+class ShapeMismatch(QhorrocksError, ValueError):
     """Presentation does not have the two square spinor blocks."""
+
+    exit_code = 3
 
 
 @dataclass

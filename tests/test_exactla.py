@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhorrocks import exactla
 from qhorrocks.exactla import (
     DEFAULT_PRIME,
     Matrix,
@@ -174,19 +176,83 @@ def test_solve_matrix_multi_rhs():
 
 
 # ---------------------------------------------------------------------------
-# properties of the elimination read-outs over F_32003, F_5 and Q
+# the elimination kernel and its read-outs against a plain-Python reference
+
+# F_2147483647 and F_3037000493 (the largest accepted prime) allow only two
+# and one int64 row updates between reductions, so elimination reduces mid-run
+FIELDS = [PrimeField(2), PrimeField(5), F, PrimeField(2147483647), PrimeField(3037000493), Q]
+
+
+def reference_rref(field, a):
+    """Reference Gauss-Jordan on lists of scalars: the rref rows (zero rows last) and the pivot columns."""
+    rows = [[field.scalar(x) for x in row] for row in a.tolist()]
+    pivots = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        i = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.scalar(x * inv) for x in rows[r]]
+        for k, row in enumerate(rows):
+            if k != r and row[c] != 0:
+                rows[k] = [field.scalar(x - row[c] * y) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def field_scalars(field):
+    """Entries from the whole field, with 0, 1 and -1 drawn often."""
+    if field.p is None:
+        return st.sampled_from([0, 1, -1]).map(Fraction) | st.fractions(-1000, 1000, max_denominator=1000)
+    return st.sampled_from([0, 1, field.p - 1]) | st.integers(0, field.p - 1)
 
 
 @st.composite
 def matrices(draw, field=None, rows=None, cols=None):
-    field = draw(st.sampled_from([F, PrimeField(5), Q])) if field is None else field
-    r = draw(st.integers(0, 6)) if rows is None else rows
-    c = draw(st.integers(0, 6)) if cols is None else cols
-    entries = draw(st.lists(st.integers(-2, 2), min_size=r * c, max_size=r * c))
-    return Matrix(field, field.array(np.array(entries, dtype=object).reshape(r, c)))
+    """Matrices up to 12 x 12, empty ones included; about half are products through a narrower inner dimension."""
+    field = draw(st.sampled_from(FIELDS)) if field is None else field
+    r = draw(st.integers(0, 12)) if rows is None else rows
+    c = draw(st.integers(0, 12)) if cols is None else cols
+
+    def block(h, w):
+        entries = draw(st.lists(field_scalars(field), min_size=h * w, max_size=h * w))
+        return field.array(np.array(entries, dtype=object).reshape(h, w))
+
+    if draw(st.booleans()):
+        return Matrix(field, block(r, c))
+    k = draw(st.integers(0, max(0, min(r, c) - 1)))  # rank at most k
+    return Matrix(field, field.matmul(block(r, k), block(k, c)))
 
 
 READOUTS = settings(max_examples=80, deadline=None)
+
+
+def assert_matches_reference(m):
+    rows, pivots = reference_rref(m.field, m.a)
+    r, got = _rref(m.field, m.a)
+    assert got == tuple(pivots)
+    assert r.shape == m.a.shape and r.tolist() == rows
+    assert m.rank() == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_the_reference(m):
+    assert_matches_reference(m)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_rref_matches_the_reference_on_seeded_matrices(field):
+    rng = random.Random(5)
+    # (rows, cols, inner): a product through an inner dimension has rank at most inner; None is a plain draw
+    for rows, cols, inner in [(12, 12, None), (5, 12, None), (12, 5, None), (12, 12, 7), (9, 12, 3), (6, 6, 0), (0, 4, None), (4, 0, None)]:
+        if inner is None:
+            m = random_matrix(field, rng, rows, cols)
+        else:
+            m = random_matrix(field, rng, rows, inner) @ random_matrix(field, rng, inner, cols)
+        assert_matches_reference(m)
 
 
 @READOUTS
@@ -198,13 +264,13 @@ def test_kernel_vectors_are_killed(m):
 
 def reference_kernel(m):
     """Reference read-out: for each non-pivot column f, e_f minus the pivot rows' entries in column f."""
-    r, pivots = _rref(m.field, m.a)
+    r, pivots = reference_rref(m.field, m.a)
     out = []
     for f in (j for j in range(m.cols) if j not in pivots):
         v = m.field.zeros(m.cols, 1)[:, 0]
         v[f] = m.field.scalar(1)
         for i, pc in enumerate(pivots):
-            v[pc] = m.field.neg(r[i, f])
+            v[pc] = m.field.neg(r[i][f])
         out.append(v)
     return out
 
@@ -229,25 +295,11 @@ def test_quotient_projection_inverts_reps_and_kills_the_subspace(m):
     assert (proj @ m).is_zero()
 
 
-def reference_span_basis(field, vectors):
-    """Reference read-out: Gauss-Jordan on the vectors as rows of plain lists, nonzero rows in pivot order."""
-    rows = [[field.scalar(x) for x in v] for v in vectors]
-    basis = []
-    for c in range(len(rows[0]) if rows else 0):
-        i = next((k for k, row in enumerate(rows) if row[c] != 0), None)
-        if i is None:
-            continue
-        inv = field.inv(rows[i][c])
-        piv = [field.scalar(x * inv) for x in rows.pop(i)]
-        rows = [[field.scalar(x - row[c] * y) for x, y in zip(row, piv)] for row in rows]
-        basis = [[field.scalar(x - row[c] * y) for x, y in zip(row, piv)] for row in basis] + [piv]
-    return basis
-
-
 @READOUTS
 @given(matrices())
 def test_span_and_column_space_basis_read_out_the_reference_rref(m):
-    want = reference_span_basis(m.field, m.columns())
+    rows, pivots = reference_rref(m.field, m.a.T)
+    want = rows[: len(pivots)]
     assert [list(v) for v in span_basis(m.field, list(m.columns()), m.rows).columns()] == want
     assert [list(v) for v in m.column_space_basis().columns()] == want
 
@@ -272,3 +324,37 @@ def test_multi_column_solve_matches_per_column_solve(m, data):
     sol = m.solve_matrix(rhs)
     for j in range(k):
         assert np.all(sol.col(j) == per_column[j])
+
+
+# ---------------------------------------------------------------------------
+# frozen arrays and the remembered rank
+
+
+@pytest.mark.parametrize("field", [F, Q], ids=lambda f: f.name)
+def test_rank_is_remembered_by_rank_and_kernel_read_outs(field, monkeypatch):
+    rng = random.Random(9)
+    m = random_matrix(field, rng, 5, 3) @ random_matrix(field, rng, 3, 7)
+    fresh = Matrix(field, m.a.copy())
+    r0 = m.rank()
+    m.kernel_basis()
+    assert m.rank() == r0
+    m.kernel_matrix()
+    assert m.rank() == r0
+    fresh.kernel_matrix()
+    calls = []
+    monkeypatch.setattr(exactla, "_rref", lambda *args, **kwargs: calls.append(args))
+    assert fresh.rank() == r0 == 3 and m.rank() == r0
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", [F, Q], ids=lambda f: f.name)
+def test_matrix_arrays_are_frozen_and_read_outs_still_work(field):
+    m = Matrix.make(field, [[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError):
+        m.a[0, 0] = field.scalar(7)
+    x = Matrix.make(field, [[1, 0, 2], [1, 1, 0]])
+    rhs = m @ x
+    assert m @ m.solve_matrix(rhs) == rhs
+    assert m.column_space_basis().cols == 2
+    reps, proj = quotient_data(field, 3, list(m.a.T))  # read-only column views
+    assert reps.cols == 1 and (proj @ m).is_zero()

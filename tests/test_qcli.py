@@ -1,11 +1,14 @@
+import builtins
 import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, NoSolution, PrimeField
-from qhorrocks import qcli, textio, fixtures
+from qhorrocks.exactla import DEFAULT_PRIME, NoSolution, PrimeField, QhorrocksError
+from qhorrocks import bipoly, exactla, flmod, horrocks, linecoh, presheaf, qcli, stability, textio, fixtures
 from qhorrocks.qcli import main, random_module, random_triple
 from qhorrocks.flmod import BoundExceeded
 from qhorrocks.linecoh import Undecided
@@ -300,6 +303,45 @@ def test_cli_maps_library_failures_to_exit_codes(capsys, monkeypatch, exc_type, 
     assert got == code
     assert "injected failure" in err
     assert "Traceback" not in err
+
+
+LIBRARY_MODULES = [exactla, bipoly, linecoh, presheaf, flmod, horrocks, stability]
+
+
+def readme_exit_table():
+    """(exception name, exit code) for every name in the README's exit-code table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d) \| (.+) \|$", text, flags=re.M)
+    return [(name, int(code)) for code, names in rows for name in re.findall(r"`(\w+)`", names)]
+
+
+def exception_class(name):
+    owner = next((mod for mod in LIBRARY_MODULES if hasattr(mod, name)), builtins)
+    return getattr(owner, name)
+
+
+@pytest.mark.parametrize("name, code", readme_exit_table())
+def test_cli_exit_codes_match_the_readme_table(capsys, monkeypatch, name, code):
+    exc_type = exception_class(name)
+
+    def failing(args):
+        raise exc_type("injected failure")
+
+    monkeypatch.setattr(qcli, "cmd_examples", failing)
+    got, out, err = run_cli(capsys, "examples")
+    assert got == code
+    assert err.endswith(": injected failure\n") and err.count("\n") == 1
+
+
+def test_readme_exit_table_names_every_library_exception():
+    documented = {name for name, _code in readme_exit_table()}
+    defined = {
+        value.__name__
+        for mod in LIBRARY_MODULES
+        for value in vars(mod).values()
+        if isinstance(value, type) and issubclass(value, QhorrocksError) and value is not QhorrocksError
+    }
+    assert len(defined) == 16 and defined <= documented
 
 
 def test_cli_entrypoint_subprocess():
