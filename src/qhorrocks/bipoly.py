@@ -318,22 +318,3 @@ def format_biform(f: BiForm) -> str:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
 
-
-def monomial_factor_path(i: int, j: int, k: int) -> list[int]:
-    """Split s^i t^(k-i) u^j v^(k-j) into k ambient-coordinate factors.
-
-    Greedy pairing of the s/t letters with the u/v letters; the indices refer
-    to x0..x3 = su, sv, tu, tv.  Any pairing gives the same product on a
-    module that satisfies the commutation and quadric relations.
-    """
-    out = []
-    s_left, u_left = i, j
-    for step in range(k):
-        first = s_left > 0
-        second = u_left > 0
-        if first:
-            s_left -= 1
-        if second:
-            u_left -= 1
-        out.append({(True, True): 0, (True, False): 1, (False, True): 2, (False, False): 3}[(first, second)])
-    return out

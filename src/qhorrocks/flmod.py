@@ -7,12 +7,18 @@ degree-two relations of the coordinate ring.
 
 The central construction is the minimal free presentation.  Generators are
 coset bases of M_d modulo the image of degree d-1; relations are found
-degreewise as new kernel generators of the chosen surjection from the free
-module, up to a bound that is then verified by recomputing the cokernel (and
-escalated twice if the dimensions do not come back equal).  Sheafifying the
-presentation gives the associated bundle F with H1 module M, from which the
-two spinor-twisted companion modules and their socles are computed through
-the coker models of the presentation.
+degreewise as new kernel generators of the chosen surjection pi from the
+free module L0, in degrees lo..hi+1 only.  No relation is new past hi+1:
+for d >= hi+2 both M_{d-1} and M_d vanish, so ker pi_{d-1} and ker pi_d are
+all of H0(L0(d-1, d-1)) and H0(L0(d, d)); every generator degree is at most
+hi <= d-2, and x0..x3 carry the first space onto the second because the
+section ring of O(1,1) is generated in degree one.  (This is the elementary
+form of the fact that the first syzygies of a finite-length module sit at
+most one degree above its top degree.)  The bound is then checked by
+recomputing the cokernel.  Sheafifying the presentation gives the associated
+bundle F with H1 module M, from which the two spinor-twisted companion
+modules and their socles are computed through the coker models of the
+presentation.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import FieldMismatch, Matrix, QhorrocksError, quotient_data
-from .bipoly import BiForm, monomial_basis, monomial_factor_path
-from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, induced_h, split_dims
-from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed
+from .exactla import FieldMismatch, Matrix, QhorrocksError, hstack, quotient_data
+from .bipoly import BiForm, monomial_basis
+from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, split_dims
+from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed, support_window
 
 
 class InvalidModule(QhorrocksError, ValueError):
@@ -35,7 +41,7 @@ class InvalidModule(QhorrocksError, ValueError):
 
 
 class BoundExceeded(QhorrocksError, RuntimeError):
-    """Relation search outgrew its escalation budget."""
+    """The recomputed cokernel of a minimal presentation disagrees with the module."""
 
     exit_code = 1
 
@@ -77,15 +83,6 @@ class FinLengthModule:
         if m is None:
             return Matrix.zeros(self.field, self.dim(d + 1), self.dim(d))
         return m
-
-    def monomial_op(self, d: int, i: int, j: int, k: int) -> Matrix:
-        """Action of s^i t^(k-i) u^j v^(k-j) from M_d to M_{d+k}."""
-        out = Matrix.identity(self.field, self.dim(d))
-        deg = d
-        for xk in monomial_factor_path(i, j, k):
-            out = self.op(xk, deg) @ out
-            deg += 1
-        return out
 
     def validation_report(self) -> list[str]:
         bad = []
@@ -142,8 +139,6 @@ class MinimalPresentation:
     psi: FormMatrix
     F: KerPresentation
     pi: dict[int, Matrix]
-    gen_degrees: tuple[int, ...]
-    rel_degrees: tuple[int, ...]
     verified_window: tuple[int, int]
     generators: list[tuple[int, np.ndarray]]  # (degree, representative in M_d), in L0 order
 
@@ -154,87 +149,91 @@ class MinimalPresentation:
         return Matrix.zeros(self.module.field, self.module.dim(d), amb)
 
 
-def _pi_matrices(m: FinLengthModule, gens: dict[int, tuple[Matrix, Matrix]], lo: int, hi: int):
-    """Section-level surjections H0(L0(d,d)) -> M_d for the chosen generators."""
-    gen_list = [(d, vec) for d in sorted(gens) for vec in gens[d][0].columns()]
+def _last_factor(i: int, j: int) -> tuple[int, tuple[int, int]]:
+    """One factor x_k of the monomial s^i t^(k-i) u^j v^(k-j), and the (i, j) of its cofactor.
+
+    x0..x3 = su, sv, tu, tv; on a module that satisfies the commutation and
+    quadric relations every factor order gives the same product.
+    """
+    if i and j:
+        return 0, (i - 1, j - 1)
+    if i:
+        return 1, (i - 1, j)
+    if j:
+        return 2, (i, j - 1)
+    return 3, (0, 0)
+
+
+def _pi_matrices(m: FinLengthModule, generators) -> dict[int, Matrix]:
+    """Section-level surjections H0(L0(d,d)) -> M_d on the support window lo..hi.
+
+    Column (g, i, j) is the image of generator g under s^i t^(k-i) u^j v^(k-j),
+    computed as one operator applied to a column one degree below.
+    """
     pi = {}
-    for d in range(lo, hi + 1):
-        cols = []
-        for gdeg, gvec in gen_list:
+    below: dict[int, dict] = {}  # generator index -> {(i, j): column of pi at d - 1}
+    for d in range(m.lo, m.hi + 1):
+        here = {}
+        for g, (gdeg, gvec) in enumerate(generators):
             k = d - gdeg
-            if k < 0:
-                continue
-            for (i, j) in monomial_basis((k, k)):
-                cols.append(m.monomial_op(gdeg, i, j, k) @ gvec)
-        if cols:
-            pi[d] = Matrix.from_columns(m.field, cols, rows_dim=m.dim(d))
-        else:
-            pi[d] = Matrix.zeros(m.field, m.dim(d), 0)
-    return gen_list, pi
+            if k == 0:
+                here[g] = {(0, 0): gvec}
+            elif k > 0:
+                here[g] = {}
+                for i, j in monomial_basis((k, k)):
+                    x, src = _last_factor(i, j)
+                    here[g][(i, j)] = m.op(x, d - 1) @ below[g][src]
+        cols = [col for block in here.values() for col in block.values()]
+        pi[d] = Matrix.from_columns(m.field, cols, rows_dim=m.dim(d))
+        below = here
+    return pi
 
 
-def minimal_presentation(m: FinLengthModule, escalations: int = 2) -> MinimalPresentation:
+def minimal_presentation(m: FinLengthModule) -> MinimalPresentation:
     """Minimal free presentation of a finite-length module, verified by recomputation.
 
     Relations are collected degreewise: at each degree the kernel of the
     chosen surjection is compared against the span of the multiples of the
     relations already found, and a coset basis of the gap becomes the new
-    relation columns.  The scan runs to hi + 3 and the resulting cokernel is
-    recomputed; on mismatch the bound grows by 2, twice, before giving up.
+    relation columns.  The scan covers lo..hi+1 and no further: for
+    d >= hi+2, M_{d-1} = M_d = 0 makes both kernels the whole section spaces
+    of L0, and since every generator sits in degree <= d-2, x0..x3 carry
+    H0(L0(d-1, d-1)) onto H0(L0(d, d)), so degree d holds no new relation.
+    The cokernel of psi is then recomputed on lo..hi+3 and must equal M
+    there; BoundExceeded reports a mismatch.
     """
     m.validate()
     fld = m.field
     if m.is_zero:
         empty = FormMatrix.zero(fld, (), ())
-        pres = KerPresentation(empty, verify=False)
-        return MinimalPresentation(m, (), (), empty, pres, {}, (), (), (0, -1), [])
+        return MinimalPresentation(m, (), (), empty, KerPresentation(empty, verify=False), {}, (0, -1), [])
     gens = minimal_generators(m)
-    bound = m.hi + 3
-    for attempt in range(escalations + 1):
-        result = _presentation_attempt(m, gens, bound)
-        if result is not None:
-            return result
-        bound += 2
-    raise BoundExceeded(f"relation search failed even at degree bound {bound}")
-
-
-def _presentation_attempt(m: FinLengthModule, gens, bound: int):
-    fld = m.field
-    gen_list, pi = _pi_matrices(m, gens, m.lo, bound + 1)
-    gen_degrees = tuple(d for d, _ in gen_list)
-    L0: SplitBundle = tuple((-d, -d) for d in gen_degrees)
+    generators = [(d, vec) for d in sorted(gens) for vec in gens[d][0].columns()]
+    pi = _pi_matrices(m, generators)
+    L0: SplitBundle = tuple((-d, -d) for d, _ in generators)
+    bound = m.hi + 1
     rel_cols: list[tuple[int, np.ndarray]] = []  # (degree, vector in H0(L0(d,d)))
-    kernels: dict[int, Matrix] = {}
+    below = Matrix.zeros(fld, 0, 0)  # kernel of pi at d - 1
     for d in range(m.lo, bound + 1):
-        ker = pi[d].kernel_matrix()
-        kernels[d] = ker
-        carried = []
-        if d - 1 in kernels and kernels[d - 1].cols:
-            for k, name in enumerate(X_FORMS):
-                f = BiForm.variable(fld, name)
-                mul = h0_mult_on_split(L0, f, (d - 1, d - 1))
-                carried.extend(list((mul @ kernels[d - 1]).columns()))
-        if ker.cols == 0:
-            continue
-        if carried:
-            coords = ker.solve_matrix(Matrix.from_columns(fld, carried, rows_dim=ker.rows))
-            _reps, proj = quotient_data(fld, ker.cols, list(coords.columns()))
-        else:
-            _reps, proj = quotient_data(fld, ker.cols, [])
-        for vec in _reps.columns():
-            rel_cols.append((d, ker @ vec))
-    rel_degrees = tuple(d for d, _ in rel_cols)
-    L1: SplitBundle = tuple((-d, -d) for d in rel_degrees)
+        pi_d = pi[d] if d in pi else Matrix.zeros(fld, 0, sum(split_dims(0, L0, (d, d))))
+        ker = pi_d.kernel_matrix()
+        known = []
+        if ker.cols and below.cols:
+            mults = [h0_mult_on_split(L0, BiForm.variable(fld, x), (d - 1, d - 1)) for x in X_FORMS]
+            carried = hstack([mul @ below for mul in mults])
+            known = list(ker.solve_matrix(carried).columns())
+        reps, _proj = quotient_data(fld, ker.cols, known)
+        rel_cols.extend((d, ker @ vec) for vec in reps.columns())
+        below = ker
+    L1: SplitBundle = tuple((-d, -d) for d, _ in rel_cols)
     psi = FormMatrix.from_sections(fld, L1, L0, [vec for _, vec in rel_cols])
-    # verify: the recomputed cokernel has the module's dimensions, then vanishes
-    for d in range(m.lo, bound + 3):
-        mat = induced_h(psi, 0, (d, d))
-        if mat.rows - mat.rank() != m.dim(d):
-            return None
     fpres = KerPresentation(psi, verify=False)
-    return MinimalPresentation(
-        m, L1, L0, psi, fpres, pi, gen_degrees, rel_degrees, (m.lo, bound + 2), gen_list
-    )
+    for d in range(m.lo, bound + 3):
+        mat = fpres.h_matrix(0, (d, d))
+        coker = mat.rows - mat.rank()
+        if coker != m.dim(d):
+            raise BoundExceeded(f"recomputed cokernel has dimension {coker} at degree {d}, not {m.dim(d)}")
+    return MinimalPresentation(m, L1, L0, psi, fpres, pi, (m.lo, bound + 2), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +353,11 @@ def _spinor_support(pres: MinimalPresentation) -> tuple[int, int]:
         return (0, -1)
     kp = pres.F
     gen_degs = [-b1 for b1, _ in pres.L0]
-    lo = min(gen_degs)
-    top = max(gen_degs)
-    d = lo
-    hi = lo - 1
-    cap = top + 64
-    while d <= cap:
-        total = kp.h1_dim((d + 1, d)) + kp.h1_dim((d, d + 1))
-        if total:
-            hi = d
-        elif d > top:
-            return (lo, hi)
-        d += 1
-    raise VerificationFailed("spinor-twisted module support did not close")
+
+    def both(d):
+        return kp.h1_dim((d + 1, d)) + kp.h1_dim((d, d + 1))
+
+    return support_window(both, min(gen_degs), max(gen_degs), "spinor-twisted module")
 
 
 def sigma_modules(pres: MinimalPresentation) -> TriDiagModule:
@@ -466,6 +457,11 @@ def _vec_to_maps(fld, vec, layout) -> dict[int, Matrix]:
     return {d: Matrix(fld, vec[off : off + n2 * n1].reshape(n2, n1).copy()) for d, (off, n2, n1) in layout.items()}
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _sample_iso(m1: FinLengthModule, basis, layout, trials: int, rng, accept):
     """First random combination of `basis` that is invertible in every degree and accepted.
 
@@ -496,6 +492,7 @@ def module_iso(m1: FinLengthModule, m2: FinLengthModule, trials: int = 200, rng=
     "no isomorphism found", which is conclusive only when the dimensions
     already disagree.
     """
+    _check_trials(trials)
     if m1.field != m2.field:
         raise FieldMismatch(f"{m1.field} vs {m2.field}")
     if m1.dims != m2.dims:

@@ -21,6 +21,9 @@ def random_module(field, rng, dims: dict[int, int]) -> FinLengthModule:
     requested degree: degreewise, a random complement of the carried
     relations is killed until the piece has the requested dimension.
     """
+    for d, n in dims.items():
+        if n < 0:
+            raise ValueError(f"negative dimension {n} requested at degree {d}")
     lo, hi = min(dims), max(dims)
     gens = tuple((-d, -d) for d in sorted(dims) for _ in range(dims[d]))
     kill: dict[int, Matrix] = {}

@@ -63,6 +63,7 @@ from .flmod import (
     MinimalPresentation,
     ModelledModule,
     TriDiagModule,
+    _check_trials,
     _commuting_space,
     _sample_iso,
     _vec_to_maps,
@@ -223,9 +224,8 @@ def _rho_from_generators(pres: MinimalPresentation, mm: ModelledModule, target: 
     induced map on section spaces then covers the identity of the module by
     construction, so the induced map on every H1 piece is an isomorphism.
     """
-    src = tuple((-d, -d) for d, _ in pres.generators)
     sections = [mm.models[d].reps @ vec for d, vec in pres.generators]
-    return FormMatrix.from_sections(pres.module.field, src, target, sections)
+    return FormMatrix.from_sections(pres.module.field, pres.L0, target, sections)
 
 
 def _assert_stripped(rep: KerPresentation):
@@ -418,6 +418,7 @@ def triple_iso(t1: HorrocksTriple, t2: HorrocksTriple, trials: int = 200, rng=No
     element invertible in every degree, so only invertibility is randomised.
     None is a negative search report, not a proof of non-isomorphism.
     """
+    _check_trials(trials)
     m1, m2 = t1.module, t2.module
     if m1.field != m2.field:
         raise FieldMismatch(f"{m1.field} vs {m2.field}")
@@ -453,8 +454,7 @@ def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matr
             sections.append(t2.pres.pi_at(d).solve(maps[d] @ gvec))
         except NoSolution:
             return None
-    src = tuple((-d, -d) for d, _ in t1.pres.generators)
-    return FormMatrix.from_sections(t1.module.field, src, t2.pres.L0, sections)
+    return FormMatrix.from_sections(t1.module.field, t1.pres.L0, t2.pres.L0, sections)
 
 
 def _subspace_constrained_basis(t1, t2, basis, layout):
@@ -589,6 +589,7 @@ class RoundtripReport:
 
 def roundtrip(triple: HorrocksTriple, trials: int = 200, rng=None) -> RoundtripReport:
     """synthesize -> summand check -> extract -> compare against the input."""
+    _check_trials(trials)
     rng = rng or random.Random(7)
     notes = []
     monad = synthesize(triple, rng=rng)

@@ -392,7 +392,7 @@ class SurjectivityReport:
     coker_dims: dict[Twist, int]
 
 
-def sheaf_surjective(m: FormMatrix, widenings: int = 2) -> SurjectivityReport:
+def sheaf_surjective(m: FormMatrix) -> SurjectivityReport:
     """Decide surjectivity of a split-bundle map as a map of sheaves.
 
     The cokernel sheaf, if nonzero, has nonzero sections in every
@@ -400,13 +400,12 @@ def sheaf_surjective(m: FormMatrix, widenings: int = 2) -> SurjectivityReport:
     cokernel dies beyond a regularity bound.  So: scan a square window of
     shifts starting just above the largest target twist; all-zero cokernels
     mean surjective, all-nonzero mean not, and a mixed answer moves the
-    window up (twice by default) before giving up.
+    window up by two, twice, before giving up.
     """
     if m.rows == 0:
         return SurjectivityReport(True, (0, 0), {})
     w = 1 + max(max(a, b) for a, b in m.dst)
-    for attempt in range(widenings + 1):
-        lo = w + 2 * attempt
+    for lo in (w, w + 2, w + 4):
         hi = lo + 3
         dims = {}
         for ea in range(lo, hi + 1):
@@ -418,4 +417,4 @@ def sheaf_surjective(m: FormMatrix, widenings: int = 2) -> SurjectivityReport:
             return SurjectivityReport(True, (lo, hi), dims)
         if all(d > 0 for d in dims.values()):
             return SurjectivityReport(False, (lo, hi), dims)
-    raise Undecided(f"surjectivity undecided after {widenings} widenings: {dims}")
+    raise Undecided(f"surjectivity undecided after 2 widenings: {dims}")

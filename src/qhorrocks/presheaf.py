@@ -136,7 +136,8 @@ class KerPresentation:
         return self._cache[key]
 
     def h0_dim(self, e: Twist) -> int:
-        return self.h0_space(e).cols
+        m = self.h_matrix(0, e)
+        return m.cols - m.rank()
 
     def cosection_space(self, t: Twist) -> Matrix:
         """Columns: a basis of Hom(E, O(t)) inside H0(A^v(t)), as coset representatives.
@@ -225,22 +226,8 @@ class KerPresentation:
         cands = coker_gens + a_ranges
         if not cands:
             return (0, -1)
-        lo = min(cands)
-        settled = max(coker_gens + [x + 1 for x in a_ranges]) if coker_gens or a_ranges else lo
-        support = []
-        d = lo
-        cap = settled + 64
-        while d <= cap:
-            if self.h1_dim((d, d)) > 0:
-                support.append(d)
-            elif d > settled:
-                break
-            d += 1
-        else:
-            raise VerificationFailed("diagonal H1 support did not close")
-        if not support:
-            return (0, -1)
-        return (min(support), max(support))
+        settled = max(coker_gens + [x + 1 for x in a_ranges])
+        return support_window(lambda d: self.h1_dim((d, d)), min(cands), settled, "diagonal H1")
 
     def table(self, lo: int, hi: int) -> dict:
         """h^i over diagonal twists and both spinor strips for d in [lo, hi]."""
@@ -250,6 +237,22 @@ class KerPresentation:
         h0, h1, h2 = self.dims_at(e)
         want = euler_char(tuple(deg_add(t, e) for t in self.A)) - euler_char(tuple(deg_add(t, e) for t in self.B))
         return h0 - h1 + h2 == want
+
+
+def support_window(dim_at, start: int, settled: int, what: str) -> tuple[int, int]:
+    """Smallest [lo, hi] holding every degree d >= start with dim_at(d) > 0; (0, -1) if none.
+
+    The caller has proved that past `settled` one vanishing degree certifies
+    vanishing in every degree above it, so the scan stops at the first zero
+    there; VerificationFailed if none comes within 64 degrees of `settled`.
+    """
+    found = []
+    for d in range(start, settled + 65):
+        if dim_at(d):
+            found.append(d)
+        elif d > settled:
+            return (found[0], found[-1]) if found else (0, -1)
+    raise VerificationFailed(f"{what} support did not close")
 
 
 def _strip_table(dims_at, lo: int, hi: int) -> dict:
@@ -363,7 +366,7 @@ def find_acm_summand(p: KerPresentation):
     return None
 
 
-def strip_acm(p: KerPresentation, max_rounds: int = 64):
+def strip_acm(p: KerPresentation):
     """Remove ACM line bundle summands until none is detected.
 
     Whenever some O(t) splits off through a pair (phi, pi) with pi o phi = 1,
@@ -378,10 +381,7 @@ def strip_acm(p: KerPresentation, max_rounds: int = 64):
         raise VerificationFailed("summand stripping needs a free target")
     removed: list[Twist] = []
     current = p
-    for _ in range(max_rounds):
-        found = find_acm_summand(current)
-        if found is None:
-            return current, removed
+    while (found := find_acm_summand(current)) is not None:
         twist, phi, pi = found
         lo, hi = _table_window(current)
         before = current.table(lo, hi)
@@ -393,7 +393,7 @@ def strip_acm(p: KerPresentation, max_rounds: int = 64):
                 raise VerificationFailed(f"table additivity broke at {key} while removing O{twist}")
         removed.append(twist)
         current = nxt
-    raise VerificationFailed("summand stripping did not terminate")
+    return current, removed
 
 
 def _split_off_unit(g: FormMatrix, twist: Twist, phi: FormMatrix, pi: FormMatrix) -> FormMatrix:

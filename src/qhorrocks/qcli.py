@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from .exactla import DEFAULT_PRIME, QhorrocksError, get_field
@@ -82,8 +83,10 @@ def _load_any(token: str, args):
 
 
 def _parse_window(spec: str) -> tuple[int, int]:
-    lo, hi = spec.split("..")
-    return int(lo), int(hi)
+    match = re.fullmatch(r"([+-]?\d+)\.\.([+-]?\d+)", spec.strip())
+    if match is None or int(match[1]) > int(match[2]):
+        raise CliError(f"invalid window {spec!r}: expected lo..hi with integers lo <= hi", 2)
+    return int(match[1]), int(match[2])
 
 
 def _emit(records: bool, pairs, text_lines):

@@ -10,7 +10,6 @@ from qhorrocks.bipoly import (
     ParseError,
     format_biform,
     monomial_basis,
-    monomial_factor_path,
     parse_biform,
     space_dim,
     sq_piece,
@@ -145,16 +144,6 @@ def test_quadric_relation_between_diagonal_pieces():
         lhs = coh_action(x0, 0, (d + 1, d + 1)) @ coh_action(x3, 0, (d, d))
         rhs = coh_action(x1, 0, (d + 1, d + 1)) @ coh_action(x2, 0, (d, d))
         assert lhs == rhs
-
-
-def test_monomial_factor_path():
-    # s^2 t u v^2 of degree (3,3): three factors multiplying to the monomial
-    path = monomial_factor_path(2, 1, 3)
-    assert len(path) == 3
-    # recombine: count s's and u's contributed
-    s_count = sum(1 for k in path if k in (0, 1))
-    u_count = sum(1 for k in path if k in (0, 2))
-    assert s_count == 2 and u_count == 1
 
 
 def test_evaluate():

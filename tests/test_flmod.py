@@ -7,7 +7,9 @@ from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField, 
 from qhorrocks.bipoly import parse_biform
 from qhorrocks.linecoh import FormMatrix
 from qhorrocks.presheaf import KerPresentation
+from qhorrocks.generate import random_module
 from qhorrocks.flmod import (
+    X_FORMS,
     FinLengthModule,
     InvalidModule,
     minimal_generators,
@@ -131,6 +133,51 @@ def test_minimal_presentation_truncated_square_free_quotient():
     pres = minimal_presentation(m)
     assert pres.L0 == ((0, 0),)
     assert pres.L1 == ((-2, -2),) * 9
+
+
+PRESENTATION_FIELDS = [PrimeField(2), PrimeField(5), F, RationalField()]
+# the last two have a gap in their support
+PRESENTATION_DIMS = [{0: 2, 1: 3}, {-1: 1, 0: 2, 1: 1}, {0: 1, 2: 2}, {-1: 2, 1: 1, 2: 1}]
+
+
+def _random_presented(F, dims, seed):
+    m = random_module(F, random.Random(seed), dims)
+    assert m.dims == dims
+    return m, minimal_presentation(m)
+
+
+@pytest.mark.parametrize("dims", PRESENTATION_DIMS, ids=str)
+@pytest.mark.parametrize("F", PRESENTATION_FIELDS, ids=lambda f: f.name)
+def test_minimal_presentation_relations_stop_one_degree_above_the_top(F, dims):
+    m, pres = _random_presented(F, dims, 31)
+    assert pres.L1
+    assert all(a >= -m.hi - 1 and b >= -m.hi - 1 for a, b in pres.L1)
+
+
+@pytest.mark.parametrize("dims", PRESENTATION_DIMS, ids=str)
+@pytest.mark.parametrize("F", PRESENTATION_FIELDS, ids=lambda f: f.name)
+def test_minimal_presentation_pi_is_a_module_surjection(F, dims):
+    from qhorrocks.bipoly import BiForm
+    from qhorrocks.linecoh import h0_mult_on_split
+
+    m, pres = _random_presented(F, dims, 32)
+    for d in range(m.lo - 1, m.hi + 1):
+        assert pres.pi_at(d).rank() == m.dim(d)
+        for k, name in enumerate(X_FORMS):
+            mul = h0_mult_on_split(pres.L0, BiForm.variable(F, name), (d, d))
+            assert pres.pi_at(d + 1) @ mul == m.op(k, d) @ pres.pi_at(d), (d, k)
+
+
+@pytest.mark.parametrize("dims", PRESENTATION_DIMS, ids=str)
+@pytest.mark.parametrize("F", PRESENTATION_FIELDS, ids=lambda f: f.name)
+def test_minimal_presentation_cokernel_is_the_module(F, dims):
+    from qhorrocks.linecoh import induced_h
+
+    m, pres = _random_presented(F, dims, 33)
+    assert pres.verified_window == (m.lo, m.hi + 3)
+    for d in range(m.lo - 1, m.hi + 4):
+        mat = induced_h(pres.psi, 0, (d, d))
+        assert mat.rows - mat.rank() == m.dim(d), d
 
 
 def test_minimal_presentation_roundtrip_dims():

@@ -283,6 +283,25 @@ def test_cli_rejects_composite_field(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["random-module", "--dims=-1@0"], "negative dimension -1"),
+        (["iso", "example:o-20", "example:o-20", "--trials", "0"], "trials must be at least 1"),
+        (["roundtrip", "TRIPLE", "--trials=-3"], "trials must be at least 1"),
+        (["cohomology", "example:o-20", "--window=2..-2"], "invalid window '2..-2'"),
+        (["cohomology", "example:o-20", "--window=5"], "invalid window '5'"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_rejects_bad_sizes_up_front_exit2(capsys, tmp_path, argv, says):
+    path = tmp_path / "t.triple"
+    path.write_text("field p=32003\n" + TRIPLE_BODY.format("1"))
+    code, out, err = run_cli(capsys, *[str(path) if a == "TRIPLE" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and says in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "exc_type, code",
     [
         (Undecided, 2),
