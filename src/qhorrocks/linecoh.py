@@ -42,12 +42,6 @@ class MalformedMatrix(QhorrocksError, ValueError):
     exit_code = 2
 
 
-class Undecided(QhorrocksError, RuntimeError):
-    """Raised when window widening cannot settle sheaf surjectivity."""
-
-    exit_code = 2
-
-
 def is_acm_twist(t: Twist) -> bool:
     return abs(t[0] - t[1]) <= 1
 
@@ -302,12 +296,6 @@ class FormMatrix:
         rows = tuple(tuple(self.entries[i][j] for j in idx) for i in range(self.rows))
         return FormMatrix(self.field, src, self.dst, rows)
 
-    def evaluate(self, s, t, u, v) -> Matrix:
-        vals = [[f.evaluate(s, t, u, v) for f in row] for row in self.entries]
-        if not vals or not vals[0]:
-            return Matrix.zeros(self.field, self.rows, self.cols)
-        return Matrix.make(self.field, vals)
-
     def __repr__(self):
         return f"FormMatrix({list(self.src)} -> {list(self.dst)})"
 
@@ -388,33 +376,41 @@ def h0_mult_on_split(s: SplitBundle, f: BiForm, e: Twist) -> Matrix:
 @dataclass
 class SurjectivityReport:
     surjective: bool
-    window: tuple[int, int]
-    coker_dims: dict[Twist, int]
+    twist: Twist  # the twist that certified the answer
+    coker_dim: int  # of the section map there
 
 
 def sheaf_surjective(m: FormMatrix) -> SurjectivityReport:
-    """Decide surjectivity of a split-bundle map as a map of sheaves.
+    """Decide whether a split-bundle map g: A -> B is onto as a map of sheaves.
 
-    The cokernel sheaf, if nonzero, has nonzero sections in every
-    sufficiently positive twist, while for a surjection the section-level
-    cokernel dies beyond a regularity bound.  So: scan a square window of
-    shifts starting just above the largest target twist; all-zero cokernels
-    mean surjective, all-nonzero mean not, and a mixed answer moves the
-    window up by two, twice, before giving up.
+    Onto: where every twist of B(e) is >= (0, 0), evaluation H0(B(e)) ->
+    B(e)_x is onto and factors through g_x once H0(g(e)) is onto, so a zero
+    section cokernel there proves g onto.  Not onto: an onto g has its kernel
+    resolved by the Buchsbaum-Rim complex (Eisenbud, The Geometry of
+    Syzygies, appendix A2), with C2 = wedge^(b+1) A (x) det B^v and
+    C3 = wedge^(b+2) A (x) B^v (x) det B^v for b = rank B, and on the surface
+    H1(C2(e)) = H2(C3(e)) = 0 forces H1(ker g(e)) = 0 (Maclagan and Smith,
+    "Multigraded Castelnuovo-Mumford regularity", J. reine angew. Math. 571,
+    2004).  Both vanish at the e* where all their twists are >= (-1, -1), so
+    a nonzero section cokernel at e* proves g not onto.  The walk
+    e_k = min(e0 + (k, k), e*) from the least globally generated twist e0
+    stops at the first zero cokernel, skipping twists with h0(A) < h0(B).
     """
     if m.rows == 0:
-        return SurjectivityReport(True, (0, 0), {})
-    w = 1 + max(max(a, b) for a, b in m.dst)
-    for lo in (w, w + 2, w + 4):
-        hi = lo + 3
-        dims = {}
-        for ea in range(lo, hi + 1):
-            for eb in range(lo, hi + 1):
-                e = (ea, eb)
-                mat = induced_h(m, 0, e)
-                dims[e] = mat.rows - mat.rank()
-        if all(d == 0 for d in dims.values()):
-            return SurjectivityReport(True, (lo, hi), dims)
-        if all(d > 0 for d in dims.values()):
-            return SurjectivityReport(False, (lo, hi), dims)
-    raise Undecided(f"surjectivity undecided after 2 widenings: {dims}")
+        return SurjectivityReport(True, (0, 0), 0)
+    b, e0, e_star = m.rows, [], []
+    for k in (0, 1):
+        src, dst = sorted(t[k] for t in m.src), [t[k] for t in m.dst]
+        e0.append(-min(dst))
+        c2 = [sum(dst) - 1 - sum(src[: b + 1])] if len(src) > b else []
+        c3 = [sum(dst) + max(dst) - 1 - sum(src[: b + 2])] if len(src) > b + 1 else []
+        e_star.append(max([e0[k]] + c2 + c3))
+    e_star = tuple(e_star)
+    for step in range(max(e_star[0] - e0[0], e_star[1] - e0[1]) + 1):
+        e = (min(e0[0] + step, e_star[0]), min(e0[1] + step, e_star[1]))
+        if e != e_star and split_dim(0, m.src, e) < split_dim(0, m.dst, e):
+            continue
+        mat = induced_h(m, 0, e)
+        coker = mat.rows - mat.rank()
+        if coker == 0 or e == e_star:
+            return SurjectivityReport(coker == 0, e, coker)

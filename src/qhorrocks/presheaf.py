@@ -31,6 +31,7 @@ algebra because the middle terms are free.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,10 +113,8 @@ class KerPresentation:
         self.rank = len(self.A) - len(self.B)
         self.gamma_form = all(is_acm_twist(t) for t in self.A) and all(is_free_twist(t) for t in self.B)
         self._cache: dict = {}
-        if verify and len(self.B) and len(self.A):
-            rep = sheaf_surjective(g)
-            if not rep.surjective:
-                raise NotSurjective(f"cokernel persists on window {rep.window}: {rep.coker_dims}")
+        if verify and not (rep := sheaf_surjective(g)).surjective:
+            raise NotSurjective(f"not onto: section cokernel of dimension {rep.coker_dim} at twist {rep.twist}")
 
     def __repr__(self):
         return f"KerPresentation({list(self.A)} -> {list(self.B)})"
@@ -274,17 +273,22 @@ def line_bundle_table(t: Twist, lo: int, hi: int) -> dict:
 
 
 def solve_form_system(u: FormMatrix, wt: FormMatrix) -> FormMatrix:
-    """The unique-shape solve U X = Wt for form matrices, column by column.
+    """The unique-shape solve U X = Wt for form matrices.
 
     X runs from wt.src to u.src.  Each column is one exact linear system in
-    the monomial coefficients of its entries; NoSolution propagates when a
-    column of Wt is outside the image (the caller interprets that as an Ext
-    obstruction or a module mismatch).
+    the monomial coefficients of its entries, and columns with the same
+    source twist share one matrix, so they are solved together; NoSolution
+    propagates when a column of Wt is outside the image (the caller
+    interprets that as an Ext obstruction or a module mismatch).
     """
     if u.dst != wt.dst:
         raise ValueError("targets differ")
-    cols = [induced_h(u, 0, (-a, -b)).solve(wt.section(r)) for r, (a, b) in enumerate(wt.src)]
-    return FormMatrix.from_sections(u.field, wt.src, u.src, cols)
+    cols = {}
+    for a, b in dict.fromkeys(wt.src):
+        idx = [r for r, t in enumerate(wt.src) if t == (a, b)]
+        rhs = Matrix.from_columns(u.field, [wt.section(r) for r in idx])
+        cols.update(zip(idx, induced_h(u, 0, (-a, -b)).solve_matrix(rhs).columns()))
+    return FormMatrix.from_sections(u.field, wt.src, u.src, [cols[r] for r in range(wt.cols)])
 
 
 def lift_lambda(psi: FormMatrix, gamma: "KerPresentation") -> FormMatrix:
@@ -545,17 +549,11 @@ def h1_spinor_class_of_column(p: KerPresentation, col: FormMatrix, e: Twist) -> 
 class MonadPresentation:
     """E = ker(psi) / im(kappa) for split bundles K -> A -> B.
 
-    kappa must be fiberwise injective.  With verify=True that is only
-    sampled: kappa is evaluated at random points whose four coordinates are
-    all nonzero, and its rank is checked there.  The degeneracy locus of a
-    bad kappa is a curve or finitely many points, so the samples can miss it
-    (kappa = (su, sv)^T: O(-1,-1) -> 2 O, degenerate on the line s = 0, is
-    accepted).  The exact test, surjectivity of the dual as a sheaf map, is
-    about 70 times slower on the benchmark's 25 roundtrip monads: 10.7 s
-    against 0.16 s for the 50 samples, cold caches, on a 2-CPU 2.0 GHz Xeon VM.
+    kappa must be fiberwise injective, that is, its dual must be onto as a
+    map of sheaves; verify=True proves it with sheaf_surjective.
     """
 
-    def __init__(self, kappa: FormMatrix, psi: FormMatrix, verify: bool = True, rng=None):
+    def __init__(self, kappa: FormMatrix, psi: FormMatrix, verify: bool = True):
         if kappa.dst != psi.src:
             raise ValueError("kappa and psi do not share the middle bundle")
         self.kappa = kappa
@@ -569,32 +567,27 @@ class MonadPresentation:
             raise ValueError("psi o kappa is nonzero")
         self.fbar = KerPresentation(psi, verify=verify)
         self._cache: dict = {}
-        if verify and self.K:
-            if not self.fiberwise_injective(rng):
-                raise ValueError("kappa drops rank at a sampled point")
+        if verify and not (rep := sheaf_surjective(kappa.dual())).surjective:
+            raise ValueError(f"kappa drops rank: its dual has a section cokernel at twist {rep.twist}")
 
     def __repr__(self):
         return f"MonadPresentation({list(self.K)} -> {list(self.A)} -> {list(self.B)})"
 
     def fiberwise_injective(self, rng=None, samples: int = 50) -> bool:
-        import random as _random
-
-        rng = rng or _random.Random(20003)
-        want = len(self.K)
-        if want == 0:
+        """Sampled only: kappa has full rank at random points with four nonzero coordinates."""
+        rng = rng or random.Random(20003)
+        if not self.K:
             return True
         for _ in range(samples):
-            s, t, u, v = (self._nonzero(rng) for _ in range(4))
-            if self.kappa.evaluate(s, t, u, v).rank() < want:
+            point = []
+            while len(point) < 4:
+                x = self.field.random_scalar(rng)
+                if x != 0:
+                    point.append(x)
+            vals = [[f.evaluate(*point) for f in row] for row in self.kappa.entries]
+            if Matrix.make(self.field, vals).rank() < len(self.K):
                 return False
         return True
-
-    def _nonzero(self, rng):
-        f = self.field
-        while True:
-            x = f.random_scalar(rng)
-            if x != 0:
-                return x
 
     # -- connecting data --------------------------------------------------
     def h1k_map(self, e: Twist) -> Matrix:

@@ -11,7 +11,9 @@ restricted null-correlation bundle hits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bipoly import BiForm
 from .exactla import PrimeField, QhorrocksError
@@ -173,13 +175,21 @@ def _binary_roots(field, coeffs):
             _bump(roots, (found, 1))
             work = _deflate(field, work, found)
     else:
-        # rationals: try small candidates; exactness of the repeated-root
-        # decision comes from the gcd step, not from this scan
-        for x in [0] + [s * n for n in range(1, 9) for s in (1, -1)]:
+        # rational root theorem: a root a/b of the content-cleared form has a
+        # dividing its lowest nonzero coefficient and b its leading one
+        den = math.lcm(*(Fraction(c).denominator for c in work))
+        ends = [int(c * den) for c in work if c != 0]
+        cands = {Fraction(sg * a, b) for a in _divisors(ends[0]) for b in _divisors(ends[-1]) for sg in (1, -1)}
+        for x in [Fraction(0)] + sorted(cands, key=lambda x: (abs(x), x < 0)):
             while len(work) > 1 and _eval_poly(field, work, x) == 0:
                 _bump(roots, (x, 1))
                 work = _deflate(field, work, x)
     return roots, work
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+    return small + [abs(n) // d for d in small]
 
 
 _ROOT_BLOCK = 1 << 16  # values per sweep step, so memory stays flat in p

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qhorrocks import exactla
 from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField
 from qhorrocks.bipoly import BiForm, monomial_basis, parse_biform
 from qhorrocks.linecoh import (
@@ -19,6 +20,7 @@ from qhorrocks.linecoh import (
     split_dim,
     spinor_kind,
 )
+from qhorrocks.fixtures import fixture_names, load_fixture
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -169,8 +171,37 @@ def test_sheaf_surjective_koszul_pair():
 
 
 def test_sheaf_surjective_single_section_fails():
+    # [s]: O(-1,0) -> O; one source summand against one target gives no
+    # Buchsbaum-Rim terms, so the globally generated twist (0,0) decides
     g = gamma_matrix([(-1, 0)], [(0, 0)], [["s"]])
-    assert not sheaf_surjective(g).surjective
+    rep = sheaf_surjective(g)
+    assert (rep.surjective, rep.twist, rep.coker_dim) == (False, (0, 0), 1)
+
+
+def count_eliminations(monkeypatch) -> list:
+    calls = []
+    rref = exactla._rref
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(exactla, "_rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sheaf_surjective_accepts_deep_koszul_pairs(monkeypatch, k):
+    # (s^k, t^k): 2 O(-k,0) -> O is onto; a window starting one above the
+    # target twist, blind to the source twists, rejected it for k = 3 and 4.
+    # The sections first cover O(a, 0) at a = 2k-1, which is also the first
+    # twist with as many source sections as target ones, so the walk skips
+    # every twist before it and eliminates once.
+    g = gamma_matrix([(-k, 0), (-k, 0)], [(0, 0)], [[f"s^{k}", f"t^{k}"]])
+    calls = count_eliminations(monkeypatch)
+    rep = sheaf_surjective(g)
+    assert (rep.surjective, rep.twist, rep.coker_dim) == (True, (2 * k - 1, 0), 0)
+    assert len(calls) == 1
 
 
 def test_sheaf_surjective_example2_matrix():
@@ -261,3 +292,108 @@ def test_constant_pairing_is_the_composite(data):
         for j, cvec in enumerate(cosections.columns()):
             pi = FormMatrix.from_sections(field, (neg(t),), dual, [cvec]).dual()
             assert got.a[i, j] == pi.compose(phi).entries[0][0].constant_value()
+
+
+# ---------------------------------------------------------------------------
+# sheaf surjectivity, over F_5, F_32003 and Q
+
+SURJ = settings(max_examples=25, deadline=None)
+
+
+def koszul_row_blocks(data, field):
+    """Rows into O with no common zero: (s^k, t^k), (u^k, v^k) or (su, sv, tu, tv)."""
+    rows = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(["st", "uv", "mixed"]))
+        k = data.draw(st.integers(1, 2))
+        if kind == "st":
+            rows.append([BiForm.make(field, (k, 0), {(k, 0): 1}), BiForm.make(field, (k, 0), {(0, 0): 1})])
+        elif kind == "uv":
+            rows.append([BiForm.make(field, (0, k), {(0, k): 1}), BiForm.make(field, (0, k), {(0, 0): 1})])
+        else:
+            rows.append([BiForm.make(field, (1, 1), {m: 1}) for m in ((1, 1), (1, 0), (0, 1), (0, 0))])
+    return rows
+
+
+def draw_koszul_surjection(data, field):
+    """A block-diagonal Koszul-type surjection onto n O, mixed by an invertible constant matrix, then twisted."""
+    blocks = koszul_row_blocks(data, field)
+    n = len(blocks)
+    src = tuple((-f.deg[0], -f.deg[1]) for row in blocks for f in row)
+    dst = ((0, 0),) * n
+    zero = [BiForm.zero(field, (-t[0], -t[1])) for t in src]
+    diag, c0 = [], 0
+    for row in blocks:
+        diag.append(zero[:c0] + row + zero[c0 + len(row) :])
+        c0 += len(row)
+    p = Matrix.make(field, [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)])
+    assume(p.rank() == n)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(len(src)):
+            acc = zero[j]
+            for k in range(n):
+                acc = acc + diag[k][j].scale(p.a[i, k])
+            row.append(acc)
+        rows.append(row)
+    return FormMatrix.make(field, src, dst, rows).twist(data.draw(TWISTS))
+
+
+@SURJ
+@given(st.data())
+def test_koszul_surjections_are_accepted(data):
+    g = draw_koszul_surjection(data, data.draw(FIELDS))
+    rep = sheaf_surjective(g)
+    assert rep.surjective and rep.coker_dim == 0
+
+
+@SURJ
+@given(st.data())
+def test_a_common_linear_factor_in_one_row_is_rejected(data):
+    field = data.draw(FIELDS)
+    g = draw_koszul_surjection(data, field)
+    i = data.draw(st.integers(0, g.rows - 1))
+    side = data.draw(st.sampled_from([(1, 0), (0, 1)]))
+    coeffs = {m: data.draw(st.integers(-2, 2)) for m in monomial_basis(side)}
+    assume(any(field.scalar(c) != 0 for c in coeffs.values()))
+    form = BiForm.make(field, side, coeffs)
+    rows = [tuple(f * form for f in row) if r == i else row for r, row in enumerate(g.entries)]
+    dst = tuple((t[0] + side[0], t[1] + side[1]) if r == i else t for r, t in enumerate(g.dst))
+    rep = sheaf_surjective(FormMatrix(field, g.src, dst, tuple(rows)))
+    assert not rep.surjective and rep.coker_dim > 0
+
+
+@SURJ
+@given(st.data())
+def test_onto_at_a_twist_stays_onto_one_step_up(data):
+    g = draw_koszul_surjection(data, data.draw(FIELDS))
+    rep = sheaf_surjective(g)
+    for step in ((1, 0), (0, 1)):
+        mat = induced_h(g, 0, (rep.twist[0] + step[0], rep.twist[1] + step[1]))
+        assert mat.rank() == mat.rows
+
+
+@SURJ
+@given(st.data())
+def test_a_vanishing_first_window_of_sixteen_twists_is_accepted(data):
+    # the old test's first window: twists (lo..lo+3)^2 with lo one above the
+    # largest target twist; all sixteen cokernels zero proves onto
+    field = data.draw(FIELDS)
+    dst = tuple(data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=2)))
+    twists = st.tuples(st.integers(-1, 0), st.integers(-1, 0))
+    src = tuple(data.draw(st.lists(twists, min_size=len(dst) + 1, max_size=len(dst) + 3)))
+    g = draw_form_matrix(data, field, src, dst)
+    lo = 1 + max(max(t) for t in dst)
+    window = [(a, b) for a in range(lo, lo + 4) for b in range(lo, lo + 4)]
+    if all(induced_h(g, 0, e).rank() == split_dim(0, dst, e) for e in window):
+        assert sheaf_surjective(g).surjective
+
+
+@pytest.mark.parametrize("field", [F, RationalField()], ids=["p=32003", "Q"])
+@pytest.mark.parametrize("name", fixture_names())
+def test_sheaf_surjective_decides_fixtures_in_two_eliminations(monkeypatch, field, name):
+    g = load_fixture(name, field).g
+    calls = count_eliminations(monkeypatch)
+    assert sheaf_surjective(g).surjective
+    assert len(calls) <= 2

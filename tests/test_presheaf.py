@@ -71,8 +71,14 @@ def lepotier():
 
 
 def test_not_surjective_rejected():
-    with pytest.raises(NotSurjective):
+    with pytest.raises(NotSurjective, match=r"dimension 1 at twist \(0, 0\)$"):
         KerPresentation(gm([(-1, 0)], [(0, 0)], [["s"]]))
+
+
+def test_empty_source_onto_a_nonzero_target_rejected():
+    # 0 -> O has cokernel O, so it presents no bundle
+    with pytest.raises(NotSurjective, match=r"dimension 1 at twist \(0, 0\)$"):
+        KerPresentation(FormMatrix.zero(F, (), ((0, 0),)))
 
 
 def test_omega1_h1_model_dims():
@@ -315,14 +321,14 @@ def test_monad_degenerate_equals_kernel():
             assert monad.dims_at(e) == p.dims_at(e)
 
 
-@pytest.mark.xfail(strict=True, reason="the fibre check samples only points with every coordinate nonzero")
 @pytest.mark.parametrize("column", [["s*u", "s*v"], ["s*u", "t*v"]], ids=["line s=0", "two points"])
 def test_monad_rejects_kappa_degenerate_off_the_sampled_torus(column):
     # kappa: O(-1,-1) -> 2 O drops rank on the line s = 0, or at the two
-    # points where su = tv = 0; neither meets the points the check samples
+    # points where su = tv = 0; neither meets a point with all four
+    # coordinates nonzero, so only the exact test sees it
     kappa = gm([(-1, -1)], [(0, 0), (0, 0)], [[column[0]], [column[1]]])
     psi = FormMatrix.zero(F, kappa.dst, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"kappa drops rank: .* at twist \(0, 0\)$"):
         MonadPresentation(kappa, psi)
 
 

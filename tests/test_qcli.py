@@ -11,7 +11,6 @@ from qhorrocks.exactla import DEFAULT_PRIME, NoSolution, PrimeField, QhorrocksEr
 from qhorrocks import bipoly, exactla, flmod, horrocks, linecoh, presheaf, qcli, stability, textio, fixtures
 from qhorrocks.qcli import main, random_module, random_triple
 from qhorrocks.flmod import BoundExceeded
-from qhorrocks.linecoh import Undecided
 from qhorrocks.presheaf import InternalInvariantViolation
 from qhorrocks.horrocks import ExactnessViolation, LiftFailed
 from qhorrocks.flmod import FinLengthModule
@@ -304,7 +303,6 @@ def test_cli_rejects_bad_sizes_up_front_exit2(capsys, tmp_path, argv, says):
 @pytest.mark.parametrize(
     "exc_type, code",
     [
-        (Undecided, 2),
         (InternalInvariantViolation, 1),
         (LiftFailed, 1),
         (BoundExceeded, 1),
@@ -360,7 +358,7 @@ def test_readme_exit_table_names_every_library_exception():
         for value in vars(mod).values()
         if isinstance(value, type) and issubclass(value, QhorrocksError) and value is not QhorrocksError
     }
-    assert len(defined) == 16 and defined <= documented
+    assert len(defined) == 15 and defined <= documented
 
 
 def test_cli_entrypoint_subprocess():

@@ -169,3 +169,23 @@ def test_root_sweep_finds_the_smallest_root_past_the_first_block():
     small = PrimeField(101)
     for x in range(101):
         assert _first_root_mod_p(small, [(-x) % 101, 1]) == x
+
+
+@pytest.mark.parametrize(
+    "text, root",
+    [("2*s - t", (1, 2)), ("s - 12*t", (12, 1)), ("6*s^2 - 5*s*t + t^2", (1, 3)), ("9*s^3 - s*t^2", (-1, 3))],
+)
+def test_rational_roots_match_the_prime_field(text, root):
+    # the rational root theorem finds every root over Q, however large its
+    # numerator or denominator, as the sweep finds every root mod p
+    from fractions import Fraction
+
+    from qhorrocks.stability import _binary_report
+
+    q, p = RationalField(), PrimeField(DEFAULT_PRIME)
+    over_q = _binary_report(parse_biform(q, text), "st")
+    over_p = _binary_report(parse_biform(p, text), "st")
+    assert over_q.unfactored_degree == over_p.unfactored_degree == 0
+    assert len(over_q.roots) == len(over_p.roots)
+    assert ((Fraction(*root), 1), 1) in over_q.roots
+    assert ((p.scalar(root[0] * p.inv(root[1])), 1), 1) in over_p.roots
