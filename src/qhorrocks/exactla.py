@@ -10,9 +10,20 @@ is delayed (Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
 prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008): only the
 pivot column and row are reduced before use, the rest of the matrix once per
 `PrimeField._block` updates and at the end; over Q the reductions are no-ops.
-A rank needs only the forward half of the elimination, and a `Matrix`
-remembers its rank.  Pivoting is deterministic (first nonzero entry), so
-every basis produced anywhere downstream is reproducible across runs.
+Pivoting is deterministic (first nonzero entry), so every basis produced
+anywhere downstream is reproducible across runs.
+
+A rank, `_rank`, first peels structural pivots off the nonzero pattern: a
+column whose only nonzero lies in row i adds 1 to the rank, and column
+operations with it clear row i without touching any other entry, so row i
+and the column drop out and the rest of the matrix keeps its values; a row
+with one nonzero is the transposed case.  This is the "structured Gaussian
+elimination" of LaMacchia and Odlyzko ("Solving large sparse linear systems
+over finite fields", CRYPTO '90) and the "structural pivots" of Bouillaguet
+and Delaplace ("Sparse Gaussian elimination modulo p: an update", CASC 2016).
+The section matrices of the Künneth monomial model are sparse and nearly
+triangular, and peeling alone ranks them; only what survives the peel is
+eliminated, by the forward half of `_rref`.  A `Matrix` remembers its rank.
 """
 
 from __future__ import annotations
@@ -288,9 +299,6 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, self.field.reduce(self.a * self.field.scalar(c)))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.a.T.copy())
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -305,7 +313,7 @@ class Matrix:
     # -- elimination read-outs -----------------------------------------
     def rank(self) -> int:
         if self._rank is None:
-            object.__setattr__(self, "_rank", len(_rref(self.field, self.a, reduced=False)[1]))
+            object.__setattr__(self, "_rank", _rank(self.field, self.a))
         return self._rank
 
     def kernel_basis(self) -> list[np.ndarray]:
@@ -383,6 +391,61 @@ def _rref(field, a: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, tuple
         pivots.append(c)
         r += 1
     return field.reduce(a), tuple(pivots)
+
+
+def _rank(field, a: np.ndarray) -> int:
+    """The rank of a: structural pivots peeled off its nonzero pattern, then elimination of the rest.
+
+    Entries are reduced first, so the pattern is that of the residues.  A
+    column whose only live nonzero lies in row i is a pivot: column
+    operations with it clear the rest of row i and change nothing outside
+    row i, so the rank is 1 plus the rank of a with row i and that column
+    deleted.  A row with a single live nonzero is the transposed case.  Each
+    such peel is exact and needs no arithmetic, and deleting a pivot's row
+    and column may leave new singletons (LaMacchia and Odlyzko, "Solving
+    large sparse linear systems over finite fields", CRYPTO '90; Bouillaguet
+    and Delaplace, "Sparse Gaussian elimination modulo p: an update", CASC
+    2016).  Pattern rows and columns are the two sides of a bipartite graph;
+    a work list of degree-1 vertices peels it in time linear in the nonzeros.
+    The surviving rows and columns keep their original entries, and the
+    forward half of `_rref` ranks them.  When no row or column of a is a
+    singleton, a goes straight to `_rref` and the graph is never built, so a
+    dense matrix pays only for one count of its nonzeros.
+    """
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return 0
+    a = field.reduce(a)
+    nz = a != 0
+    row_deg, col_deg = nz.sum(axis=1), nz.sum(axis=0)
+    if not ((row_deg == 1).any() or (col_deg == 1).any()):
+        return len(_rref(field, a, reduced=False)[1])
+    # vertex v < m is row v, vertex m + j is column j; its neighbours are nbr[start[v]:start[v + 1]]
+    rows, cols = np.nonzero(nz)
+    deg = np.concatenate([row_deg, col_deg])
+    nbr = np.concatenate([cols + m, rows[np.argsort(cols, kind="stable")]]).tolist()
+    start = np.concatenate([[0], np.cumsum(deg)]).tolist()
+    # live neighbours of each live vertex; 0 once peeled, and a live neighbour is never at 0
+    deg = deg.tolist()
+    work = [v for v, d in enumerate(deg) if d == 1]
+    rank = 0
+    while work:
+        v = work.pop()
+        if deg[v] != 1:
+            continue
+        w = next(x for x in nbr[start[v] : start[v + 1]] if deg[x])
+        deg[v] = deg[w] = 0
+        rank += 1
+        for x in nbr[start[w] : start[w + 1]]:
+            if deg[x]:
+                deg[x] -= 1
+                if deg[x] == 1:
+                    work.append(x)
+    left_rows = [i for i in range(m) if deg[i]]
+    left_cols = [j for j in range(n) if deg[m + j]]
+    if left_rows and left_cols:
+        rank += len(_rref(field, a[np.ix_(left_rows, left_cols)], reduced=False)[1])
+    return rank
 
 
 def _kernel(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:

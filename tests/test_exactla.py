@@ -12,6 +12,7 @@ from qhorrocks.exactla import (
     NoSolution,
     PrimeField,
     RationalField,
+    _rank,
     _rref,
     get_field,
     hstack,
@@ -327,6 +328,89 @@ def test_multi_column_solve_matches_per_column_solve(m, data):
 
 
 # ---------------------------------------------------------------------------
+# the rank: structural pivots, then elimination of what is left
+
+
+def sparse_entries(field):
+    """Nonzero field elements, over F_p stored as any int64 (p and p + 1 are 0 and 1 unreduced, -1 is p - 1)."""
+    if field.p is None:
+        return field_scalars(field).filter(lambda x: x != 0)
+    return st.sampled_from([1, -1, field.p, field.p + 1]) | st.integers(1, field.p - 1)
+
+
+@st.composite
+def sparse_arrays(draw):
+    """A field and a mostly zero array up to 14 x 14, with planted chains, row and column singletons and zero lines."""
+    field = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    a = field.zeros(r, c)
+    if r == 0 or c == 0:
+        return field, a
+    entry = sparse_entries(field)
+    cells = st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))
+    for i, j in draw(st.lists(cells, max_size=r * c // 3)):
+        a[i, j] = draw(entry)
+    if draw(st.booleans()):  # an upper-bidiagonal chain from a random corner
+        i0, j0 = draw(cells)
+        for k in range(min(r - i0, c - j0)):
+            a[i0 + k, j0 + k] = draw(entry)
+            if j0 + k + 1 < c:
+                a[i0 + k, j0 + k + 1] = draw(entry)
+    for i, j in draw(st.lists(cells, max_size=3)):  # row singletons
+        a[i, :] = 0
+        a[i, j] = draw(entry)
+    for i, j in draw(st.lists(cells, max_size=3)):  # column singletons
+        a[:, j] = 0
+        a[i, j] = draw(entry)
+    for i, j in draw(st.lists(cells, max_size=2)):  # a zero row and a zero column
+        a[i, :] = 0
+        a[:, j] = 0
+    return field, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_arrays())
+def test_rank_of_sparse_arrays_matches_the_reference(fa):
+    field, a = fa
+    assert _rank(field, a) == len(reference_rref(field, a)[1])
+
+
+def band(field, n: int, below: int = 0) -> np.ndarray:
+    """An upper-bidiagonal chain, 1 on the diagonal and -1 above it, with 1 on the first `below` places below it."""
+    a = field.zeros(n, n)
+    for k in range(n):
+        a[k, k] = field.scalar(1)
+        if k + 1 < n:
+            a[k, k + 1] = field.scalar(-1)
+        if k < below:
+            a[k + 1, k] = field.scalar(1)
+    return a
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_rank_fixed_shapes(field, monkeypatch):
+    rng = random.Random(4)
+    dense = random_matrix(field, rng, 12, 15).a.copy()
+    dense[dense == 0] = field.scalar(1)  # every entry nonzero, so no row or column is a singleton
+    cases = [band(field, 40), band(field, 9, below=8), dense, field.zeros(0, 5), field.zeros(5, 0)]
+    want = [len(reference_rref(field, a)[1]) for a in cases]
+    calls = []
+    rref = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda f, a, **kw: calls.append(a.shape) or rref(f, a, **kw))
+    assert [_rank(field, a) for a in cases] == want
+    # the chain peels to nothing, the tridiagonal one leaves no singleton, the dense block has none
+    assert calls == [(9, 9), (12, 15)]
+
+
+def test_rank_of_a_long_chain_needs_no_elimination(monkeypatch):
+    a = band(F, 300)
+    monkeypatch.setattr(exactla, "_rref", None)
+    assert _rank(F, a) == 300
+    a[-1, -1] = 0
+    assert _rank(F, a) == 299
+
+
+# ---------------------------------------------------------------------------
 # frozen arrays and the remembered rank
 
 
@@ -343,6 +427,7 @@ def test_rank_is_remembered_by_rank_and_kernel_read_outs(field, monkeypatch):
     fresh.kernel_matrix()
     calls = []
     monkeypatch.setattr(exactla, "_rref", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(exactla, "_rank", lambda *args, **kwargs: calls.append(args))
     assert fresh.rank() == r0 == 3 and m.rank() == r0
     assert calls == []
 

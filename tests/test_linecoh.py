@@ -178,15 +178,15 @@ def test_sheaf_surjective_single_section_fails():
     assert (rep.surjective, rep.twist, rep.coker_dim) == (False, (0, 0), 1)
 
 
-def count_eliminations(monkeypatch) -> list:
+def count_ranks(monkeypatch) -> list:
     calls = []
-    rref = exactla._rref
+    rank = exactla._rank
 
     def counting(*args, **kwargs):
         calls.append(args[1].shape)
-        return rref(*args, **kwargs)
+        return rank(*args, **kwargs)
 
-    monkeypatch.setattr(exactla, "_rref", counting)
+    monkeypatch.setattr(exactla, "_rank", counting)
     return calls
 
 
@@ -196,9 +196,9 @@ def test_sheaf_surjective_accepts_deep_koszul_pairs(monkeypatch, k):
     # target twist, blind to the source twists, rejected it for k = 3 and 4.
     # The sections first cover O(a, 0) at a = 2k-1, which is also the first
     # twist with as many source sections as target ones, so the walk skips
-    # every twist before it and eliminates once.
+    # every twist before it and computes one rank.
     g = gamma_matrix([(-k, 0), (-k, 0)], [(0, 0)], [[f"s^{k}", f"t^{k}"]])
-    calls = count_eliminations(monkeypatch)
+    calls = count_ranks(monkeypatch)
     rep = sheaf_surjective(g)
     assert (rep.surjective, rep.twist, rep.coker_dim) == (True, (2 * k - 1, 0), 0)
     assert len(calls) == 1
@@ -394,6 +394,6 @@ def test_a_vanishing_first_window_of_sixteen_twists_is_accepted(data):
 @pytest.mark.parametrize("name", fixture_names())
 def test_sheaf_surjective_decides_fixtures_in_two_eliminations(monkeypatch, field, name):
     g = load_fixture(name, field).g
-    calls = count_eliminations(monkeypatch)
+    calls = count_ranks(monkeypatch)
     assert sheaf_surjective(g).surjective
     assert len(calls) <= 2

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from qhorrocks import exactla
 from qhorrocks.exactla import (
     DEFAULT_PRIME,
     Matrix,
@@ -14,6 +15,7 @@ from qhorrocks.exactla import (
     vstack,
 )
 from qhorrocks.bipoly import BiForm, parse_biform
+from qhorrocks.fixtures import fixture_names, load_fixture
 from qhorrocks.linecoh import (
     FormMatrix,
     form_hstack,
@@ -129,6 +131,18 @@ def test_euler_check_everywhere():
 def test_o20_table_matches_line_bundle():
     p = o_minus_2_0()
     assert p.table(-4, 4) == line_bundle_table((-2, 0), -4, 4)
+
+
+@pytest.mark.parametrize("field", [F, RationalField()], ids=["p=32003", "Q"])
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_tables_rank_every_section_matrix_structurally(monkeypatch, field, name):
+    # every section matrix of these tables peels to nothing: no elimination
+    pres = load_fixture(name, field)
+    calls = []
+    rref = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda f, a, **kw: calls.append(a.shape) or rref(f, a, **kw))
+    pres.table(-7, 7)
+    assert calls == []
 
 
 def test_lepotier_stability_sections():
