@@ -4,9 +4,10 @@ The quadric x0*x3 = x1*x2 in P3 is identified with P1 x P1 by sending
 x0, x1, x2, x3 to su, sv, tu, tv.  The coordinate ring of the quadric is
 never represented as a quotient ring: its degree-d piece is the space of
 forms of bidegree (d, d), where the defining relation holds identically.
-This removes every Groebner computation from the package; multiplying by a
-form is a matrix in the fixed monomial bases below (`linecoh.coh_action`
-with i = 0).
+This removes every Groebner computation from the package.  A `BiForm` is
+built, parsed, printed and evaluated, and carries no arithmetic: multiplying
+by a form is a matrix in the fixed monomial bases below
+(`linecoh.coh_action` with i = 0), and sums are sums of coefficient vectors.
 
 A monomial of bidegree (a, b) is s^i t^(a-i) u^j v^(b-j) and is stored as
 the exponent pair (i, j).  Bases are ordered with i descending then j
@@ -110,40 +111,6 @@ class BiForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "BiForm") -> "BiForm":
-        if self.deg != other.deg:
-            raise ValueError(f"bidegree mismatch {self.deg} vs {other.deg}")
-        d = self.coeff_dict()
-        f = self.field
-        for m, c in other.coeffs:
-            d[m] = f.scalar(d.get(m, 0) + c)
-        return BiForm.make(f, self.deg, d)
-
-    def __neg__(self) -> "BiForm":
-        return BiForm.make(self.field, self.deg, {m: self.field.neg(c) for m, c in self.coeffs})
-
-    def __sub__(self, other: "BiForm") -> "BiForm":
-        return self + (-other)
-
-    def __mul__(self, other: "BiForm") -> "BiForm":
-        f = self.field
-        deg = deg_add(self.deg, other.deg)
-        if self.is_zero() or other.is_zero():
-            return BiForm.zero(f, deg)
-        acc: dict[tuple[int, int], object] = {}
-        for (i1, j1), c1 in self.coeffs:
-            for (i2, j2), c2 in other.coeffs:
-                m = (i1 + i2, j1 + j2)
-                acc[m] = f.scalar(acc.get(m, 0) + c1 * c2)
-        return BiForm.make(f, deg, acc)
-
-    def scale(self, c) -> "BiForm":
-        c = self.field.scalar(c)
-        return BiForm.make(self.field, self.deg, {m: self.field.scalar(x * c) for m, x in self.coeffs})
-
     def coefficient_vector(self):
         """Coefficients in monomial_basis(self.deg) order, as a field vector."""
         f = self.field
@@ -160,7 +127,11 @@ class BiForm:
         return BiForm.make(field, deg, {basis[k]: vec[k] for k in range(len(basis)) if vec[k] != 0})
 
     def evaluate(self, s, t, u, v):
-        """Value at scalar coordinates; the zero form of any bidegree gives 0."""
+        """Value at scalar coordinates; the zero form of any bidegree gives 0.
+
+        Only the sampled fibre check `MonadPresentation.fiberwise_injective`
+        evaluates forms.
+        """
         f = self.field
         a, b = self.deg
         total = f.scalar(0)

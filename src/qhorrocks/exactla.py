@@ -515,11 +515,3 @@ def subspace_equal(a: Matrix, b: Matrix) -> bool:
     sa = span_basis(a.field, list(a.columns()), a.rows)
     sb = span_basis(b.field, list(b.columns()), b.rows)
     return sa == sb
-
-
-def random_matrix(field, rng, rows: int, cols: int) -> Matrix:
-    a = field.zeros(rows, cols)
-    for i in range(rows):
-        for j in range(cols):
-            a[i, j] = field.random_scalar(rng)
-    return Matrix(field, a)

@@ -72,9 +72,6 @@ class FinLengthModule:
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def support(self):
         return sorted(self.dims)
 
@@ -321,12 +318,6 @@ class TriDiagModule:
             return self.ops[key]
         src, dst = _op_shapes(self, var, family, d)
         return Matrix.zeros(self.pres.module.field, dst, src)
-
-    def support10(self):
-        return sorted(self.m10)
-
-    def support01(self):
-        return sorted(self.m01)
 
 
 def _op_shapes(t: TriDiagModule, var: str, family: str, d: int):

@@ -4,7 +4,9 @@ On P1 with coordinates s, t the cohomology of O(p) has a canonical monomial
 model: H0 is spanned by s^i t^j with i, j >= 0 and i + j = p, while H1 is
 spanned by the "negative cone" monomials with i, j <= -1 and i + j = p.
 Multiplication by a form adds exponents and truncates anything that leaves
-the cone.  Tensoring two copies gives every H^i of O(a, b) on P1 x P1 an
+the cone; `coh_action` is the one place that multiplies monomials, and a
+product of form matrices (`FormMatrix.compose`) is its action on section
+vectors.  Tensoring two copies gives every H^i of O(a, b) on P1 x P1 an
 explicit finite monomial basis:
 
     H0: all four exponents >= 0
@@ -203,20 +205,6 @@ class FormMatrix:
         return FormMatrix(field, tuple(src), tuple(dst), tuple(tuple(r) for r in rows))
 
     @staticmethod
-    def identity(field, s: SplitBundle) -> "FormMatrix":
-        rows = []
-        for i in range(len(s)):
-            row = []
-            for j in range(len(s)):
-                want = deg_sub(s[i], s[j])
-                if i == j:
-                    row.append(BiForm.constant(field, 1))
-                else:
-                    row.append(BiForm.zero(field, want))
-            rows.append(tuple(row))
-        return FormMatrix(field, tuple(s), tuple(s), tuple(rows))
-
-    @staticmethod
     def from_sections(field, src: SplitBundle, dst: SplitBundle, sections) -> "FormMatrix":
         """The matrix whose column j is the section vector sections[j] of H0(dst(-src_j)).
 
@@ -250,39 +238,17 @@ class FormMatrix:
         return len(self.src)
 
     def compose(self, other: "FormMatrix") -> "FormMatrix":
-        """self o other, defined when other.dst == self.src."""
+        """self o other, defined when other.dst == self.src.
+
+        Column k is induced_h(self, 0, -other.src[k]) applied to the section
+        vector of column k of other, so coh_action does every product.
+        """
         if other.dst != self.src:
             raise MalformedMatrix("composition twist mismatch")
-        rows = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = BiForm.zero(self.field, deg_sub(self.dst[i], other.src[k]))
-                for j in range(self.cols):
-                    acc = acc + self.entries[i][j] * other.entries[j][k]
-                row.append(acc)
-            rows.append(tuple(row))
-        return FormMatrix(self.field, other.src, self.dst, tuple(rows))
-
-    def __add__(self, other: "FormMatrix") -> "FormMatrix":
-        rows = tuple(
-            tuple(self.entries[i][j] + other.entries[i][j] for j in range(self.cols)) for i in range(self.rows)
-        )
-        return FormMatrix(self.field, self.src, self.dst, rows)
-
-    def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        rows = tuple(
-            tuple(self.entries[i][j] - other.entries[i][j] for j in range(self.cols)) for i in range(self.rows)
-        )
-        return FormMatrix(self.field, self.src, self.dst, rows)
+        return _map_sections(self, other, self.dst, Matrix.__matmul__)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for row in self.entries for f in row)
-
-    def twist(self, e: Twist) -> "FormMatrix":
-        src = tuple(deg_add(s, e) for s in self.src)
-        dst = tuple(deg_add(d, e) for d in self.dst)
-        return FormMatrix(self.field, src, dst, self.entries)
 
     def dual(self) -> "FormMatrix":
         """Transpose with negated twists: O(-dst) -> O(-src)."""
@@ -339,6 +305,21 @@ def induced_h(m: FormMatrix, i: int, e: Twist) -> Matrix:
             c0 += cd[bj]
         r0 += rd[bi]
     return Matrix(field, out)
+
+
+def _map_sections(m: FormMatrix, x: FormMatrix, dst: SplitBundle, op) -> FormMatrix:
+    """The form matrix x.src -> dst whose columns of source twist t are op(induced_h(m, 0, -t), S_t).
+
+    S_t holds the section vectors of the columns of x with source twist t,
+    so each distinct twist costs one induced matrix and one call of op.
+    """
+    cols = [None] * x.cols
+    for t in dict.fromkeys(x.src):
+        idx = [k for k, s in enumerate(x.src) if s == t]
+        sections = Matrix.from_columns(x.field, [x.section(k) for k in idx])
+        for k, col in zip(idx, op(induced_h(m, 0, (-t[0], -t[1])), sections).columns()):
+            cols[k] = col
+    return FormMatrix.from_sections(x.field, x.src, dst, cols)
 
 
 def constant_pairing(s: SplitBundle, t: Twist, sections: Matrix, cosections: Matrix) -> Matrix:

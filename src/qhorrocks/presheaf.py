@@ -42,6 +42,7 @@ from .linecoh import (
     FormMatrix,
     SplitBundle,
     Twist,
+    _map_sections,
     constant_pairing,
     euler_char,
     h0_mult_on_split,
@@ -51,6 +52,7 @@ from .linecoh import (
     kunneth_dim,
     sheaf_surjective,
     split_dim,
+    split_dims,
     spinor_shift,
 )
 
@@ -232,11 +234,6 @@ class KerPresentation:
         """h^i over diagonal twists and both spinor strips for d in [lo, hi]."""
         return _strip_table(self.dims_at, lo, hi)
 
-    def euler_check(self, e: Twist) -> bool:
-        h0, h1, h2 = self.dims_at(e)
-        want = euler_char(tuple(deg_add(t, e) for t in self.A)) - euler_char(tuple(deg_add(t, e) for t in self.B))
-        return h0 - h1 + h2 == want
-
 
 def support_window(dim_at, start: int, settled: int, what: str) -> tuple[int, int]:
     """Smallest [lo, hi] holding every degree d >= start with dim_at(d) > 0; (0, -1) if none.
@@ -283,12 +280,7 @@ def solve_form_system(u: FormMatrix, wt: FormMatrix) -> FormMatrix:
     """
     if u.dst != wt.dst:
         raise ValueError("targets differ")
-    cols = {}
-    for a, b in dict.fromkeys(wt.src):
-        idx = [r for r, t in enumerate(wt.src) if t == (a, b)]
-        rhs = Matrix.from_columns(u.field, [wt.section(r) for r in idx])
-        cols.update(zip(idx, induced_h(u, 0, (-a, -b)).solve_matrix(rhs).columns()))
-    return FormMatrix.from_sections(u.field, wt.src, u.src, [cols[r] for r in range(wt.cols)])
+    return _map_sections(u, wt, u.src, Matrix.solve_matrix)
 
 
 def lift_lambda(psi: FormMatrix, gamma: "KerPresentation") -> FormMatrix:
@@ -359,14 +351,8 @@ def find_acm_summand(p: KerPresentation):
             continue
         nz = np.argwhere(pairing.a != 0)
         i, j = int(nz[0][0]), int(nz[0][1])
-        c = pairing.a[i, j]
-        pi = FormMatrix(
-            p.field,
-            p.A,
-            (twist,),
-            ((tuple(f.scale(p.field.inv(c)) for f in pis[j].entries[0])),),
-        )
-        return twist, phis[i], pi
+        unit = FormMatrix.from_sections(p.field, (twist,), (twist,), [[p.field.inv(pairing.a[i, j])]])
+        return twist, phis[i], unit.compose(pis[j])
     return None
 
 
@@ -407,31 +393,29 @@ def _split_off_unit(g: FormMatrix, twist: Twist, phi: FormMatrix, pi: FormMatrix
     both pi_j0 and phi_j0 are nonzero constants.  After normalising
     pi_j0 = 1, replacing column j by column j - (pi_j) . column j0 makes the
     retraction the j0-th coordinate, so the kernel of the reduced matrix is
-    the complement of O(twist) in the kernel of g.
+    the complement of O(twist) in the kernel of g.  The column operations
+    are one composite g o T, with T built from section vectors.
     """
     field = g.field
     j0 = None
     for j, t in enumerate(g.src):
-        if t != twist:
-            continue
-        a = pi.entries[0][j]
-        b = phi.entries[j][0]
-        if not a.is_zero() and not b.is_zero():
+        if t == twist and not pi.entries[0][j].is_zero() and not phi.entries[j][0].is_zero():
             j0 = j
             break
     if j0 is None:
         raise InternalInvariantViolation("split pair without a unit pivot")
-    scale = field.inv(pi.entries[0][j0].constant_value())
-    pi_norm = [f.scale(scale) for f in pi.entries[0]]
+    scale = field.neg(field.inv(pi.entries[0][j0].constant_value()))
     keep = [j for j in range(len(g.src)) if j != j0]
-    src = tuple(g.src[j] for j in keep)
-    rows = []
-    for i in range(g.rows):
-        row = []
-        for j in keep:
-            row.append(g.entries[i][j] - g.entries[i][j0] * pi_norm[j])
-        rows.append(tuple(row))
-    return FormMatrix(field, src, g.dst, tuple(rows))
+    cols = []
+    for j in keep:
+        # the unit at slot j, and -pi_j / pi_j0 at slot j0
+        dims = split_dims(0, g.src, (-g.src[j][0], -g.src[j][1]))
+        vec = field.zeros(sum(dims), 1)[:, 0]
+        vec[sum(dims[:j])] = field.scalar(1)
+        k = sum(dims[:j0])
+        vec[k : k + dims[j0]] = field.reduce(pi.section(j) * scale)
+        cols.append(vec)
+    return g.compose(FormMatrix.from_sections(field, tuple(g.src[j] for j in keep), g.src, cols))
 
 
 def _table_window(p: KerPresentation) -> tuple[int, int]:
@@ -498,7 +482,7 @@ def delta_matrix(p: KerPresentation, j: int, d: int) -> tuple[Matrix, Matrix]:
     n = split_dim(0, p.A, e_mid)
     g0 = p.h_matrix(0, e_mid)
     pushed = vstack([g0 @ Matrix(field, lifted.a[:n]), g0 @ Matrix(field, lifted.a[n:])])
-    koszul = vstack([h0_mult_on_split(p.B, -f2, e_dst), h0_mult_on_split(p.B, f1, e_dst)])
+    koszul = vstack([-h0_mult_on_split(p.B, f2, e_dst), h0_mult_on_split(p.B, f1, e_dst)])
     try:
         h = koszul.solve_matrix(pushed)
     except NoSolution as exc:

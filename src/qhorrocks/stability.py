@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipoly import BiForm
+from .bipoly import BiForm, deg_add
 from .exactla import PrimeField, QhorrocksError
-from .linecoh import FormMatrix, spinor_kind
+from .linecoh import FormMatrix, coh_action, spinor_kind
 from .presheaf import KerPresentation
 
 
@@ -101,20 +101,22 @@ def jumping_determinants(p: KerPresentation) -> tuple[BinaryFormReport, BinaryFo
 
 
 def _block_det(g: FormMatrix, cols: list[int]) -> BiForm:
-    """Leibniz determinant of a square block of a form matrix."""
+    """Leibniz determinant of a square block of a form matrix.
+
+    Each term is multiplied out on its coefficient vector, one coh_action
+    per factor, and the terms are summed as vectors.
+    """
     import itertools
 
     field = g.field
-    n = g.rows
-    deg = None
     total = None
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = BiForm.constant(field, sign)
-        for i in range(n):
-            term = term * g.entries[i][cols[perm[i]]]
-        total = term if total is None else total + term
-    return total
+    for perm in itertools.permutations(range(g.rows)):
+        term, deg = field.array([_perm_sign(perm)]), (0, 0)
+        for i in range(g.rows):
+            f = g.entries[i][cols[perm[i]]]
+            term, deg = coh_action(f, 0, deg) @ term, deg_add(deg, f.deg)
+        total = term if total is None else field.reduce(total + term)
+    return BiForm.from_vector(field, deg, total)
 
 
 def _perm_sign(perm) -> int:

@@ -132,6 +132,12 @@ def parse_module_body(field, lines) -> FinLengthModule:
 
 
 def parse_module_text(text: str) -> FinLengthModule:
+    """Read a module file, as `qhorrocks random-module` writes it.
+
+    The package itself only reads modules embedded in triple files; this is
+    the one reader of the standalone module format, so it stays public, and
+    the benchmark's tracer (perfbench/tracer.py) times it as a parse target.
+    """
     lines = text.splitlines()
     field, kind = _parse_header(lines)
     if kind != "module":
@@ -144,6 +150,7 @@ def parse_module_text(text: str) -> FinLengthModule:
 
 
 _TWIST_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_TWIST_LIST_RE = re.compile(rf"\s*(?:{_TWIST_RE.pattern}\s*)*")
 
 
 def _twists_to_text(ts) -> str:
@@ -151,6 +158,8 @@ def _twists_to_text(ts) -> str:
 
 
 def _twists_from_text(text: str):
+    if not _TWIST_LIST_RE.fullmatch(text):
+        raise ParseError(f"twist list must be a sequence of (a,b) pairs, found {text.strip()!r}")
     return tuple((int(a), int(b)) for a, b in _TWIST_RE.findall(text))
 
 
@@ -176,6 +185,8 @@ def _rows_from_lines(field, lines, src, dst) -> FormMatrix:
             want = (dst[i][0] - src[j][0], dst[i][1] - src[j][1])
             row.append(parse_biform(field, cell, want))
         rows.append(tuple(row))
+    if any(line.strip() for line in lines):
+        raise ParseError(f"more matrix rows than the {len(dst)} twists of the target")
     return FormMatrix(field, tuple(src), tuple(dst), tuple(rows))
 
 
@@ -222,6 +233,8 @@ def parse_bundle_text(text: str, verify: bool = True):
             raise ParseError(f"unrecognised bundle line: {line!r}")
     if "A" not in sections or "B" not in sections:
         raise ParseError("bundle file needs A: and B: twist lists")
+    if kind == "bundle gamma" and ("K" in sections or "kappa" in sections):
+        raise ParseError("a gamma bundle has no K: or kappa: section; use 'bundle monad'")
     a = _twists_from_text(sections["A"])
     b = _twists_from_text(sections["B"])
     g = _rows_from_lines(field, list(sections.get("g", [])), a, b)

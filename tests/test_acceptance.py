@@ -74,8 +74,8 @@ def test_criterion_03_minimal_presentation_of_k():
     entries = sorted(str(pres.psi.entries[0][j]) for j in range(4))
     assert entries == ["s*u", "s*v", "t*u", "t*v"]
     t = sigma_modules(pres)
-    assert {d: t.dim10(d) for d in t.support10()} == {0: 2}
-    assert {d: t.dim01(d) for d in t.support01()} == {0: 2}
+    assert {d: t.dim10(d) for d in t.m10} == {0: 2}
+    assert {d: t.dim01(d) for d in t.m01} == {0: 2}
     _ok(3, "minimal presentation of k and its companion modules")
 
 
@@ -154,7 +154,7 @@ def _random_gamma_bundle(rng):
             if stripped.rank < 1 or not stripped.A:
                 continue
             mm = module_from_bundle(stripped)
-            if mm.module.is_zero or mm.module.total_dim() > 9:
+            if mm.module.is_zero or sum(mm.module.dims.values()) > 9:
                 continue
             return stripped
         except Exception:

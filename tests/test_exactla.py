@@ -18,10 +18,10 @@ from qhorrocks.exactla import (
     hstack,
     preimage_basis,
     quotient_data,
-    random_matrix,
     span_basis,
     subspace_equal,
 )
+from reference import random_matrix
 
 F = PrimeField(DEFAULT_PRIME)
 Q = RationalField()

@@ -262,7 +262,7 @@ def test_triple_iso_self_and_conjugate():
 def test_triple_iso_finds_conjugated_subspaces():
     # move W and V by the companion action of a random module automorphism;
     # the search must recover an isomorphism of triples
-    from qhorrocks.exactla import random_matrix
+    from reference import random_matrix
     from qhorrocks.linecoh import induced_h
     from qhorrocks.horrocks import HorrocksTriple, _phi0_from_maps
 

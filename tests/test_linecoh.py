@@ -21,6 +21,7 @@ from qhorrocks.linecoh import (
     spinor_kind,
 )
 from qhorrocks.fixtures import fixture_names, load_fixture
+from reference import form_add, form_compose, form_mul, form_scale, identity_form_matrix, twisted
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -147,7 +148,8 @@ def test_form_matrix_rejects_bad_degree():
 
 def test_form_matrix_compose_and_dual():
     g = gamma_matrix([(-1, 0), (-1, 0)], [(0, 0)], [["s", "t"]])
-    ident = FormMatrix.identity(F, ((-1, 0), (-1, 0)))
+    ident = identity_form_matrix(F, ((-1, 0), (-1, 0)))
+    assert ident.entries == ((bf("1"), bf("0", (0, 0))), (bf("0", (0, 0)), bf("1")))
     assert g.compose(ident).entries == g.entries
     d = g.dual()
     assert d.src == ((0, 0),) and d.dst == ((1, 0), (1, 0))
@@ -236,13 +238,17 @@ def draw_vector(data, field, n):
     return field.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
 
 
-def draw_form_matrix(data, field, src, dst):
+def draw_form_matrix(data, field, src, dst, zero_slots=False):
     rows = []
     for d in dst:
         row = []
         for s in src:
             deg = (d[0] - s[0], d[1] - s[1])
-            coeffs = {m: data.draw(st.integers(-3, 3)) for m in monomial_basis(deg)}
+            if zero_slots and data.draw(st.booleans()):
+                deg_basis = ()
+            else:
+                deg_basis = monomial_basis(deg)
+            coeffs = {m: data.draw(st.integers(-3, 3)) for m in deg_basis}
             row.append(BiForm.make(field, deg, coeffs))
         rows.append(row)
     return FormMatrix.make(field, src, dst, rows)
@@ -262,14 +268,66 @@ def test_from_sections_and_section_are_inverse(data):
     assert again.entries == forms.entries
 
 
+# the product of form matrices, against the coefficient-dict reference product
+
+PRODUCT_FIELDS = st.sampled_from([PrimeField(2), PrimeField(5), F, RationalField()])
+
+
+def with_repeats(data, bundle):
+    """bundle with some of its twists repeated, in a drawn order."""
+    extra = data.draw(st.lists(st.sampled_from(bundle), max_size=3)) if bundle else []
+    return tuple(data.draw(st.permutations(list(bundle) + extra)))
+
+
 @LAYOUT
 @given(st.data())
 def test_section_layout_is_the_h0_layout_of_induced_h(data):
-    field, src, dst, e = data.draw(FIELDS), data.draw(BUNDLES), data.draw(BUNDLES), data.draw(TWISTS)
-    m = draw_form_matrix(data, field, src, dst)
+    field, src, dst, e = data.draw(PRODUCT_FIELDS), data.draw(BUNDLES), data.draw(BUNDLES), data.draw(TWISTS)
+    m = draw_form_matrix(data, field, src, dst, zero_slots=True)
     x = draw_vector(data, field, split_dim(0, src, e))
     column = FormMatrix.from_sections(field, (neg(e),), m.src, [x])
-    assert (induced_h(m, 0, e) @ x).tolist() == m.compose(column).section(0).tolist()
+    assert (induced_h(m, 0, e) @ x).tolist() == form_compose(m, column).section(0).tolist()
+
+
+@LAYOUT
+@given(st.data())
+def test_compose_is_the_reference_product(data):
+    field = data.draw(PRODUCT_FIELDS)
+    src, mid, dst = with_repeats(data, data.draw(BUNDLES)), data.draw(BUNDLES), data.draw(BUNDLES)
+    m = draw_form_matrix(data, field, mid, dst, zero_slots=True)
+    n = draw_form_matrix(data, field, src, mid, zero_slots=True)
+    got = m.compose(n)
+    assert (got.src, got.dst) == (src, dst)
+    assert got.entries == form_compose(m, n).entries
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), F, RationalField()], ids=lambda f: f.name)
+@pytest.mark.parametrize(
+    "src, mid, dst",
+    [
+        ((), ((0, 0), (-1, 0)), ((1, 1),)),  # empty source
+        (((-1, -1), (-1, -1)), (), ((0, 0),)),  # empty middle: the zero map
+        (((-1, -1),), ((0, 0),), ()),  # empty target
+        (((-1, 0), (-2, -1), (-1, 0), (-2, -1)), ((0, 0), (0, 1)), ((1, 1), (2, 0))),  # repeated source twists
+    ],
+)
+def test_compose_edge_shapes(field, src, mid, dst):
+    def full(s_, d_, k):
+        rows = []
+        for i, d in enumerate(d_):
+            row = []
+            for j, s in enumerate(s_):
+                deg = (d[0] - s[0], d[1] - s[1])
+                basis = monomial_basis(deg)
+                row.append(BiForm.make(field, deg, {m: 1 + (i + 2 * j + k + q) % 3 for q, m in enumerate(basis)}))
+            rows.append(row)
+        return FormMatrix.make(field, s_, d_, rows)
+
+    m, n = full(mid, dst, 0), full(src, mid, 1)
+    got = m.compose(n)
+    assert (got.src, got.dst) == (src, dst)
+    assert got.entries == form_compose(m, n).entries
+    assert got.is_zero() or (mid and src and dst)
 
 
 @LAYOUT
@@ -334,10 +392,10 @@ def draw_koszul_surjection(data, field):
         for j in range(len(src)):
             acc = zero[j]
             for k in range(n):
-                acc = acc + diag[k][j].scale(p.a[i, k])
+                acc = form_add(acc, form_scale(diag[k][j], p.a[i, k]))
             row.append(acc)
         rows.append(row)
-    return FormMatrix.make(field, src, dst, rows).twist(data.draw(TWISTS))
+    return twisted(FormMatrix.make(field, src, dst, rows), data.draw(TWISTS))
 
 
 @SURJ
@@ -358,7 +416,7 @@ def test_a_common_linear_factor_in_one_row_is_rejected(data):
     coeffs = {m: data.draw(st.integers(-2, 2)) for m in monomial_basis(side)}
     assume(any(field.scalar(c) != 0 for c in coeffs.values()))
     form = BiForm.make(field, side, coeffs)
-    rows = [tuple(f * form for f in row) if r == i else row for r, row in enumerate(g.entries)]
+    rows = [tuple(form_mul(f, form) for f in row) if r == i else row for r, row in enumerate(g.entries)]
     dst = tuple((t[0] + side[0], t[1] + side[1]) if r == i else t for r, t in enumerate(g.dst))
     rep = sheaf_surjective(FormMatrix(field, g.src, dst, tuple(rows)))
     assert not rep.surjective and rep.coker_dim > 0

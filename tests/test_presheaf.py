@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qhorrocks import exactla
 from qhorrocks.exactla import (
@@ -14,14 +15,16 @@ from qhorrocks.exactla import (
     subspace_equal,
     vstack,
 )
-from qhorrocks.bipoly import BiForm, parse_biform
+from qhorrocks.bipoly import BiForm, monomial_basis, parse_biform
 from qhorrocks.fixtures import fixture_names, load_fixture
 from qhorrocks.linecoh import (
     FormMatrix,
     form_hstack,
     form_vstack,
+    euler_char,
     h0_mult_on_split,
     induced_h,
+    is_acm_twist,
     kunneth_dim,
     spinor_shift,
     split_dim,
@@ -40,7 +43,9 @@ from qhorrocks.presheaf import (
     solve_form_system,
     strip_acm,
     summand_pairing,
+    _split_off_unit,
 )
+from reference import form_add, form_compose, form_mul, form_scale, identity_form_matrix
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -125,7 +130,10 @@ def test_euler_check_everywhere():
     for pres in (omega1(), o_minus_2_0(), lepotier()):
         for d in range(-3, 4):
             for e in ((d, d), (d + 1, d), (d, d + 1)):
-                assert pres.euler_check(e)
+                h0, h1, h2 = pres.dims_at(e)
+                chi = euler_char(tuple((a + e[0], b + e[1]) for a, b in pres.A))
+                chi -= euler_char(tuple((a + e[0], b + e[1]) for a, b in pres.B))
+                assert h0 - h1 + h2 == chi
 
 
 def test_o20_table_matches_line_bundle():
@@ -178,7 +186,7 @@ def test_mult_model_zero_into_zero_target():
 
 
 def test_solve_form_system_identity():
-    ident = FormMatrix.identity(F, ((0, 0), (-1, -1)))
+    ident = identity_form_matrix(F, ((0, 0), (-1, -1)))
     wt = gm([(-1, -1), (-2, -2)], [(0, 0), (-1, -1)], [["x0", "x0*x3"], ["1", "x1"]])
     x = solve_form_system(ident, wt)
     assert ident.compose(x).entries == wt.entries
@@ -248,6 +256,65 @@ def test_strip_acm_removes_padded_line_bundles():
         assert stripped.table(lo, hi) == want
 
 
+def draw_mixed_pad(data, below=True):
+    """A fixture E = ker g, an ACM twist l and E + O(l) presented by [g | g o h].
+
+    l is a twist of A, or with below=True also one step below one.  h: O(l) -> A
+    is drawn, so the pad column holds form multiples of the other columns:
+    [g | 0] after an automorphism of the middle term.
+    """
+    field = data.draw(st.sampled_from([F, PrimeField(5), RationalField()]))
+    base = load_fixture(data.draw(st.sampled_from(fixture_names())), field)
+    steps = [(0, 0), (1, 0), (0, 1), (1, 1)] if below else [(0, 0)]
+    twists = {(a[0] - d[0], a[1] - d[1]) for a in base.A for d in steps}
+    l = data.draw(st.sampled_from(sorted(t for t in twists if is_acm_twist(t))))
+
+    def forms(src, dst):
+        deg = (dst[0] - src[0], dst[1] - src[1])
+        return BiForm.make(field, deg, {m: data.draw(st.integers(-2, 2)) for m in monomial_basis(deg)})
+
+    h = FormMatrix.make(field, (l,), base.A, [[forms(l, t)] for t in base.A])
+    pad = form_compose(base.g, h)
+    assume(not pad.is_zero())
+    return base, l, h, form_hstack([base.g, pad]), forms
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_strip_acm_removes_a_pad_mixed_into_the_other_columns(data):
+    base, l, _h, padded, _forms = draw_mixed_pad(data)
+    stripped, removed = strip_acm(KerPresentation(padded, verify=False))
+    assert removed == [l]
+    assert stripped.table(-3, 3) == base.table(-3, 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_split_off_unit_subtracts_multiples_of_the_pivot_column(data):
+    # find_acm_summand's retractions are unit coset vectors, one nonzero
+    # entry each, so strip_acm never asks for a nonzero update; here
+    # pi = (xi, 1 + xi o h) retracts onto phi = (-h, 1) for any xi: A -> O(l)
+    base, l, h, padded, forms = draw_mixed_pad(data, below=False)
+    field = padded.field
+    xi = [forms(t, l) for t in base.A]
+    assume(not all(f.is_zero() for f in xi))
+    xi_h = form_compose(FormMatrix.make(field, base.A, (l,), [xi]), h).entries[0][0]
+    pi_row = xi + [form_add(BiForm.constant(field, 1), xi_h)]
+    minus = [form_scale(row[0], -1) for row in h.entries]
+    phi = FormMatrix.make(field, (l,), padded.src, [[f] for f in minus] + [[BiForm.constant(field, 1)]])
+    pi = FormMatrix.make(field, padded.src, (l,), [pi_row])
+    assert form_compose(pi, phi).entries[0][0] == BiForm.constant(field, 1)
+    j0 = next(j for j, t in enumerate(padded.src) if t == l and not pi_row[j].is_zero() and not phi.entries[j][0].is_zero())
+    c = field.neg(field.inv(pi_row[j0].constant_value()))
+    keep = [j for j in range(padded.cols) if j != j0]
+    want = [
+        [form_add(row[j], form_scale(form_mul(row[j0], pi_row[j]), c)) for j in keep] for row in padded.entries
+    ]
+    reduced = _split_off_unit(padded, l, phi, pi)
+    assert reduced.entries == FormMatrix.make(field, tuple(padded.src[j] for j in keep), padded.dst, want).entries
+    assert KerPresentation(reduced, verify=False).table(-3, 3) == base.table(-3, 3)
+
+
 def test_strip_acm_keeps_stable_bundle():
     p = lepotier()
     stripped, removed = strip_acm(p)
@@ -295,7 +362,7 @@ def _delta_column(p, j, w, d):
     n = split_dim(0, p.A, e_mid)
     g0 = induced_h(p.g, 0, e_mid)
     pushed = np.concatenate([g0 @ lifted[:n], g0 @ lifted[n:]])
-    h = vstack([h0_mult_on_split(p.B, -f2, e_dst), h0_mult_on_split(p.B, f1, e_dst)]).solve(pushed)
+    h = vstack([h0_mult_on_split(p.B, form_scale(f2, -1), e_dst), h0_mult_on_split(p.B, f1, e_dst)]).solve(pushed)
     return p.h1_model(e_dst).proj @ h
 
 
@@ -348,8 +415,6 @@ def test_monad_rejects_kappa_degenerate_off_the_sampled_torus(column):
 
 def test_monad_degenerate_agrees_on_random_presentations():
     # a monad with no differential is its own kernel presentation
-    from qhorrocks.bipoly import BiForm, monomial_basis
-
     rng = random.Random(42)
     done = 0
     while done < 20:

@@ -232,6 +232,24 @@ def test_cli_bad_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+# bundle files that used to load as a different bundle: the extra row was
+# dropped, the junk between the pairs skipped, the monad sections ignored
+MISREAD = {
+    "extra-row": "A: (-1,0) (-1,0)\nB: (0,0)\ng:\n[s, t]\n[t, s]\n",
+    "twist-junk": "A: (-1,0) junk (-1,0)\nB: (0,0)\ng:\n[s, t]\n",
+    "kappa-in-gamma": "K: (-2,-1)\nA: (-1,0) (-1,0)\nB: (0,0)\nkappa:\n[t]\n[0-s]\ng:\n[s, t]\n",
+}
+
+
+@pytest.mark.parametrize("name", MISREAD)
+def test_cli_bundle_file_that_would_load_as_another_bundle_exit2(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.bundle"
+    path.write_text("field p=32003\nbundle gamma\n" + MISREAD[name])
+    code, out, err = run_cli(capsys, "cohomology", str(path), "--window=0..0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 O20_ROWS = "A: (-1,0) (-1,0)\nB: (0,0)\ng:\n[{}*s, t]\n"
 TRIPLE_BODY = "triple\nmodule\ndegrees 0..1\ndim 0: 1\ndim 1: 1\nx0 0: {}\nx1 0: 1\nx2 0: 1\nx3 0: 1\n"
 

@@ -4,9 +4,11 @@ import pytest
 
 from qhorrocks.exactla import DEFAULT_PRIME, PrimeField, RationalField
 from qhorrocks.bipoly import parse_biform
-from qhorrocks.linecoh import FormMatrix
+from qhorrocks.fixtures import load_fixture
+from qhorrocks.linecoh import FormMatrix, spinor_kind
 from qhorrocks.presheaf import KerPresentation
 from qhorrocks.stability import ShapeMismatch, jumping_determinants, le_potier_check
+from reference import leibniz_det
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -86,6 +88,15 @@ def test_determinant_scaling_invariance():
     assert e1.has_repeated_root == d1.has_repeated_root
     assert e2.has_repeated_root == d2.has_repeated_root
     assert e1.roots == d1.roots
+
+
+@pytest.mark.parametrize("field", [F, RationalField()], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", ["lepotier", "null-corr-family", "split-sum"])
+def test_block_determinants_match_the_reference_leibniz_determinant(field, name):
+    p = load_fixture(name, field)
+    d_st, d_uv = jumping_determinants(p)
+    assert d_st.form == leibniz_det(p.g, [j for j, t in enumerate(p.A) if spinor_kind(t) == 2])
+    assert d_uv.form == leibniz_det(p.g, [j for j, t in enumerate(p.A) if spinor_kind(t) == 1])
 
 
 def test_split_sum_determinants_vanish():
