@@ -52,7 +52,6 @@ from .linecoh import (
     kunneth_dim,
     sheaf_surjective,
     split_dim,
-    split_dims,
     spinor_shift,
 )
 
@@ -351,8 +350,9 @@ def find_acm_summand(p: KerPresentation):
             continue
         nz = np.argwhere(pairing.a != 0)
         i, j = int(nz[0][0]), int(nz[0][1])
-        unit = FormMatrix.from_sections(p.field, (twist,), (twist,), [[p.field.inv(pairing.a[i, j])]])
-        return twist, phis[i], unit.compose(pis[j])
+        pi = pis[j].dual()  # the cosection as one column O(-twist) -> A^v
+        scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
+        return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
     return None
 
 
@@ -393,8 +393,8 @@ def _split_off_unit(g: FormMatrix, twist: Twist, phi: FormMatrix, pi: FormMatrix
     both pi_j0 and phi_j0 are nonzero constants.  After normalising
     pi_j0 = 1, replacing column j by column j - (pi_j) . column j0 makes the
     retraction the j0-th coordinate, so the kernel of the reduced matrix is
-    the complement of O(twist) in the kernel of g.  The column operations
-    are one composite g o T, with T built from section vectors.
+    the complement of O(twist) in the kernel of g.  Each product pi_j .
+    column j0 is taken on the section vector of column j0.
     """
     field = g.field
     j0 = None
@@ -404,18 +404,13 @@ def _split_off_unit(g: FormMatrix, twist: Twist, phi: FormMatrix, pi: FormMatrix
             break
     if j0 is None:
         raise InternalInvariantViolation("split pair without a unit pivot")
-    scale = field.neg(field.inv(pi.entries[0][j0].constant_value()))
+    pivot = field.reduce(g.section(j0) * field.neg(field.inv(pi.entries[0][j0].constant_value())))
     keep = [j for j in range(len(g.src)) if j != j0]
-    cols = []
-    for j in keep:
-        # the unit at slot j, and -pi_j / pi_j0 at slot j0
-        dims = split_dims(0, g.src, (-g.src[j][0], -g.src[j][1]))
-        vec = field.zeros(sum(dims), 1)[:, 0]
-        vec[sum(dims[:j])] = field.scalar(1)
-        k = sum(dims[:j0])
-        vec[k : k + dims[j0]] = field.reduce(pi.section(j) * scale)
-        cols.append(vec)
-    return g.compose(FormMatrix.from_sections(field, tuple(g.src[j] for j in keep), g.src, cols))
+    cols = [
+        field.reduce(g.section(j) + h0_mult_on_split(g.dst, pi.entries[0][j], (-twist[0], -twist[1])) @ pivot)
+        for j in keep
+    ]
+    return FormMatrix.from_sections(field, tuple(g.src[j] for j in keep), g.dst, cols)
 
 
 def _table_window(p: KerPresentation) -> tuple[int, int]:
