@@ -296,9 +296,6 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.field, self.field.reduce(-self.a))
 
-    def scale(self, c) -> "Matrix":
-        return Matrix(self.field, self.field.reduce(self.a * self.field.scalar(c)))
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -13,7 +13,7 @@ Every cohomology group of E is realised inside section spaces of A and B:
     vanishes; representatives are honest section vectors of B(e).  This is
     the "coker model" that replaces Cech cochains throughout the package.
   * H2(E(e)) sits inside H2(A(e)) as the kernel of the induced H2 matrix
-    when H1(B(e)) vanishes.
+    when H1(B(e)) vanishes; only its dimension is ever needed.
 
 When a vanishing hypothesis fails, dimension counts still come out of the
 long exact sequence (both a cokernel and a kernel term), so tables never
@@ -132,7 +132,8 @@ class KerPresentation:
         """Columns: a basis of H0(E(e)) inside H0(A(e))."""
         key = ("h0", e)
         if key not in self._cache:
-            self._cache[key] = self.h_matrix(0, e).kernel_matrix()
+            m = self.h_matrix(0, e)
+            self._cache[key] = m.kernel_matrix() if m.rank() < m.cols else Matrix.zeros(self.field, m.cols, 0)
         return self._cache[key]
 
     def h0_dim(self, e: Twist) -> int:
@@ -154,7 +155,7 @@ class KerPresentation:
                 if kunneth_dim(1, deg_sub(t, b)) != 0:
                     raise PrereqVanishingFailed(f"Ext^1(O{b}, O{t}) is nonzero")
             mat = induced_h(self.g.dual(), 0, t)  # Hom(B, L) -> Hom(A, L)
-            self._cache[key] = quotient_data(self.field, mat.rows, list(mat.columns()))[0]
+            self._cache[key] = _coker_data(mat)[0]
         return self._cache[key]
 
     # -- H1 -------------------------------------------------------------
@@ -164,8 +165,7 @@ class KerPresentation:
             if split_dim(1, self.A, e) != 0:
                 raise PrereqVanishingFailed(f"H1 of the middle term is nonzero at shift {e}")
             m = self.h_matrix(0, e)
-            reps, proj = quotient_data(self.field, m.rows, list(m.columns()))
-            self._cache[key] = CokerModel(e, m.rows, reps, proj)
+            self._cache[key] = CokerModel(e, m.rows, *_coker_data(m))
         return self._cache[key]
 
     def h1_dim(self, e: Twist) -> int:
@@ -177,15 +177,6 @@ class KerPresentation:
         return coker0 + (m1.cols - m1.rank())
 
     # -- H2 -------------------------------------------------------------
-    def h2_model(self, e: Twist) -> Matrix:
-        """Columns: a basis of H2(E(e)) inside H2(A(e)); needs H1(B(e)) = 0."""
-        key = ("h2model", e)
-        if key not in self._cache:
-            if split_dim(1, self.B, e) != 0:
-                raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
-            self._cache[key] = self.h_matrix(2, e).kernel_matrix()
-        return self._cache[key]
-
     def h2_dim(self, e: Twist) -> int:
         m2 = self.h_matrix(2, e)
         ker2 = m2.cols - m2.rank()
@@ -202,6 +193,8 @@ class KerPresentation:
         """Multiplication by f from the H1 model at e to the one at e + deg f."""
         src = self.h1_model(e)
         dst = self.h1_model(deg_add(e, f.deg))
+        if dst.dim == 0:
+            return Matrix.zeros(self.field, 0, src.dim)
         mul = h0_mult_on_split(self.B, f, e)
         return dst.proj @ (mul @ src.reps)
 
@@ -232,6 +225,13 @@ class KerPresentation:
     def table(self, lo: int, hi: int) -> dict:
         """h^i over diagonal twists and both spinor strips for d in [lo, hi]."""
         return _strip_table(self.dims_at, lo, hi)
+
+
+def _coker_data(m: Matrix) -> tuple[Matrix, Matrix]:
+    """quotient_data of the column span of m, with no elimination when the rank fills it."""
+    if m.rank() == m.rows:
+        return Matrix.zeros(m.field, m.rows, 0), Matrix.zeros(m.field, 0, m.rows)
+    return quotient_data(m.field, m.rows, list(m.columns()))
 
 
 def support_window(dim_at, start: int, settled: int, what: str) -> tuple[int, int]:
@@ -345,14 +345,14 @@ def find_acm_summand(p: KerPresentation):
     if p.rank <= 0 or not p.A:
         return None
     for twist in _candidate_acm_twists(p.A):
-        pairing, phis, pis = summand_pairing(p, twist)
+        pairing = constant_pairing(p.A, twist, p.h0_space((-twist[0], -twist[1])), p.cosection_space(twist))
         if pairing.is_zero():
             continue
         nz = np.argwhere(pairing.a != 0)
         i, j = int(nz[0][0]), int(nz[0][1])
-        pi = pis[j].dual()  # the cosection as one column O(-twist) -> A^v
+        pi = hom_ker_to_line(p, twist)[j].dual()  # the cosection as one column O(-twist) -> A^v
         scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
-        return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
+        return twist, hom_line_to_ker(p, twist)[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
     return None
 
 
@@ -395,6 +395,10 @@ def _split_off_unit(g: FormMatrix, twist: Twist, phi: FormMatrix, pi: FormMatrix
     retraction the j0-th coordinate, so the kernel of the reduced matrix is
     the complement of O(twist) in the kernel of g.  Each product pi_j .
     column j0 is taken on the section vector of column j0.
+
+    find_acm_summand passes a unit coset vector as pi, so every strip_acm
+    call subtracts zero; only the direct test
+    test_split_off_unit_subtracts_multiples_of_the_pivot_column reaches the general update.
     """
     field = g.field
     j0 = None
@@ -590,19 +594,18 @@ class MonadPresentation:
         self._cache[key] = out
         return out
 
-    def h2k_map(self, e: Twist) -> Matrix:
-        """Matrix H2(K(e)) -> H2(ker psi)(e) in the H2 kernel-model basis."""
+    def _h2_kappa(self, e: Twist) -> tuple[int, int]:
+        """h2(K(e)) and the rank of H2(K(e)) -> H2(ker psi)(e).
+
+        That is the rank of H2(kappa) into H2(A(e)): psi o kappa = 0, and H1(B(e)) = 0 embeds H2(ker psi) there.
+        """
         key = ("h2k", e)
-        if key in self._cache:
-            return self._cache[key]
-        full = induced_h(self.kappa, 2, e)
-        if full.cols == 0:
-            out = Matrix.zeros(self.field, self.fbar.h2_dim(e), 0)
-        else:
-            basis = self.fbar.h2_model(e)
-            out = basis.solve_matrix(full) if basis.cols else Matrix.zeros(self.field, 0, full.cols)
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            full = induced_h(self.kappa, 2, e)
+            if full.cols and split_dim(1, self.B, e) != 0:
+                raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
+            self._cache[key] = (full.cols, full.rank())
+        return self._cache[key]
 
     def h0_dim(self, e: Twist) -> int:
         r0 = induced_h(self.kappa, 0, e).rank()
@@ -611,12 +614,11 @@ class MonadPresentation:
 
     def h1_dim(self, e: Twist) -> int:
         c1 = self.h1k_map(e)
-        c2 = self.h2k_map(e)
-        return (self.fbar.h1_dim(e) - c1.rank()) + (c2.cols - c2.rank())
+        h2k, r2 = self._h2_kappa(e)
+        return (self.fbar.h1_dim(e) - c1.rank()) + (h2k - r2)
 
     def h2_dim(self, e: Twist) -> int:
-        c2 = self.h2k_map(e)
-        return self.fbar.h2_dim(e) - c2.rank()
+        return self.fbar.h2_dim(e) - self._h2_kappa(e)[1]
 
     def dims_at(self, e: Twist) -> tuple[int, int, int]:
         h0, h1, h2 = self.h0_dim(e), self.h1_dim(e), self.h2_dim(e)

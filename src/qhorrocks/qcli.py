@@ -13,8 +13,8 @@ Subcommands mirror the library pipeline:
     examples     list the built-in fixture names
 
 Files may be paths or `example:<name>` references to the built-in corpus.
-Exit codes: 0 success, 1 property or verification failure, 2 parse,
-validation or undecided-input error, 3 precondition violation.
+Exit codes: 0 success, 1 property or verification failure, 2 parse or
+validation error (a map that is not onto included), 3 precondition violation.
 """
 
 from __future__ import annotations

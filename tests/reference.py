@@ -8,9 +8,12 @@ compared with one computed independently.
 
 import itertools
 
+import numpy as np
+
 from qhorrocks.bipoly import BiForm
 from qhorrocks.exactla import Matrix
-from qhorrocks.linecoh import FormMatrix, split_dims
+from qhorrocks.linecoh import FormMatrix, induced_h, split_dim, split_dims
+from qhorrocks.presheaf import PrereqVanishingFailed, _candidate_acm_twists, summand_pairing
 
 
 def form_mul(f: BiForm, g: BiForm) -> BiForm:
@@ -88,3 +91,37 @@ def random_matrix(field, rng, rows: int, cols: int) -> Matrix:
         for j in range(cols):
             a[i, j] = field.random_scalar(rng)
     return Matrix(field, a)
+
+
+def monad_h1_h2_by_h2_model(monad, e) -> tuple[int, int]:
+    """h1 and h2 of a monad at e, with H2(kappa) solved in a kernel basis of H2(psi).
+
+    The basis spans H2(ker psi) inside H2(A(e)), which needs H1(B(e)) = 0;
+    PrereqVanishingFailed when that fails and H2(K(e)) is nonzero.
+    """
+    full = induced_h(monad.kappa, 2, e)
+    if full.cols == 0:
+        c2 = Matrix.zeros(monad.field, monad.fbar.h2_dim(e), 0)
+    else:
+        if split_dim(1, monad.B, e) != 0:
+            raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
+        basis = induced_h(monad.psi, 2, e).kernel_matrix()
+        c2 = basis.solve_matrix(full) if basis.cols else Matrix.zeros(monad.field, 0, full.cols)
+    c1 = monad.h1k_map(e)
+    h1 = (monad.fbar.h1_dim(e) - c1.rank()) + (c2.cols - c2.rank())
+    return h1, monad.fbar.h2_dim(e) - c2.rank()
+
+
+def find_acm_summand_ungated(p):
+    """find_acm_summand as a plain scan: the full summand pairing at every candidate twist."""
+    if p.rank <= 0 or not p.A:
+        return None
+    for twist in _candidate_acm_twists(p.A):
+        pairing, phis, pis = summand_pairing(p, twist)
+        if pairing.is_zero():
+            continue
+        i, j = (int(x) for x in np.argwhere(pairing.a != 0)[0])
+        pi = pis[j].dual()
+        scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
+        return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
+    return None

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,18 @@ from qhorrocks.presheaf import (
     summand_pairing,
     _split_off_unit,
 )
-from reference import form_add, form_compose, form_mul, form_scale, identity_form_matrix
+from qhorrocks import presheaf, textio
+from qhorrocks.generate import random_triple
+from qhorrocks.horrocks import synthesize
+from reference import (
+    find_acm_summand_ungated,
+    form_add,
+    form_compose,
+    form_mul,
+    form_scale,
+    identity_form_matrix,
+    monad_h1_h2_by_h2_model,
+)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -114,7 +126,7 @@ def test_omega1_h1_model_via_independent_rank():
 def test_omega1_h2_vanishes():
     p = omega1()
     assert p.h2_dim((0, 0)) == 0
-    assert p.h2_model((0, 0)).cols == 0
+    assert induced_h(p.g, 2, (0, 0)).kernel_matrix().cols == 0
 
 
 def test_h0_of_free_presentation_is_identity_kernel():
@@ -183,6 +195,29 @@ def test_mult_model_zero_into_zero_target():
     x0 = parse_biform(F, "x0")
     m = p.mult_model(x0, (0, 0))
     assert m.rows == 0 and m.cols == 1
+
+
+def test_empty_read_outs_make_no_elimination(monkeypatch):
+    # the rank of the section matrix says the space is zero, so no RREF runs
+    p = omega1()
+    assert p.h1_model((0, 0)).dim == 1
+    calls = []
+    rref = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda f, a, **kw: calls.append(a.shape) or rref(f, a, **kw))
+    assert p.h1_model((1, 1)).dim == 0 and p.h1_model((1, 1)).proj.a.shape == (0, 4)
+    assert p.h0_space((1, 1)).a.shape == (4, 0)
+    assert p.mult_model(parse_biform(F, "x0"), (0, 0)).a.shape == (0, 1)
+    assert calls == []
+
+
+def test_mult_model_checks_the_target_model_before_its_dimension():
+    # E = O(-2,0) has no H1 at (1,-2), but A(1,-2) = 2 O(0,-2) does, so the
+    # target has no coker model there; the source at (0,-2) has one
+    p = o_minus_2_0()
+    assert p.h1_dim((1, -2)) == 0
+    assert p.h1_model((0, -2)).dim == 0
+    with pytest.raises(PrereqVanishingFailed, match=r"shift \(1, -2\)$"):
+        p.mult_model(parse_biform(F, "s"), (0, -2))
 
 
 def test_solve_form_system_identity():
@@ -256,14 +291,14 @@ def test_strip_acm_removes_padded_line_bundles():
         assert stripped.table(lo, hi) == want
 
 
-def draw_mixed_pad(data, below=True):
+def draw_mixed_pad(data, below=True, fields=(F, PrimeField(5), RationalField())):
     """A fixture E = ker g, an ACM twist l and E + O(l) presented by [g | g o h].
 
     l is a twist of A, or with below=True also one step below one.  h: O(l) -> A
     is drawn, so the pad column holds form multiples of the other columns:
     [g | 0] after an automorphism of the middle term.
     """
-    field = data.draw(st.sampled_from([F, PrimeField(5), RationalField()]))
+    field = data.draw(st.sampled_from(fields))
     base = load_fixture(data.draw(st.sampled_from(fixture_names())), field)
     steps = [(0, 0), (1, 0), (0, 1), (1, 1)] if below else [(0, 0)]
     twists = {(a[0] - d[0], a[1] - d[1]) for a in base.A for d in steps}
@@ -313,6 +348,55 @@ def test_split_off_unit_subtracts_multiples_of_the_pivot_column(data):
     reduced = _split_off_unit(padded, l, phi, pi)
     assert reduced.entries == FormMatrix.make(field, tuple(padded.src[j] for j in keep), padded.dst, want).entries
     assert KerPresentation(reduced, verify=False).table(-3, 3) == base.table(-3, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_find_acm_summand_matches_the_ungated_scan(data):
+    # the rank gates skip only twists where the pairing is empty, so the
+    # gated search returns the scan's twist, section and retraction
+    kind = data.draw(st.sampled_from(["zero", "mixed"]))
+    fields = (PrimeField(2), PrimeField(5), F, RationalField())
+    if kind == "mixed":
+        _base, _l, _h, g, _forms = draw_mixed_pad(data, fields=fields)
+    else:
+        base = load_fixture(data.draw(st.sampled_from(fixture_names())), data.draw(st.sampled_from(fields)))
+        twists = {(a[0] - d[0], a[1] - d[1]) for a in base.A for d in ((0, 0), (1, 0), (0, 1), (1, 1))}
+        l = data.draw(st.sampled_from(sorted(t for t in twists if is_acm_twist(t))))
+        g = form_hstack([base.g, FormMatrix.zero(base.field, (l,), base.B)])
+    found = find_acm_summand(KerPresentation(g, verify=False))
+    assert found is not None
+    assert found == find_acm_summand_ungated(KerPresentation(g, verify=False))
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(5), F, RationalField()], ids=lambda f: f.name)
+def test_find_acm_summand_matches_the_ungated_scan_on_fixtures(field):
+    for name in fixture_names():
+        found = find_acm_summand(load_fixture(name, field))
+        assert found == find_acm_summand_ungated(load_fixture(name, field)), name
+
+
+def test_find_acm_summand_builds_hom_bases_only_at_the_returned_twist(monkeypatch):
+    built = []
+    for name in ("hom_line_to_ker", "hom_ker_to_line"):
+        real = getattr(presheaf, name)
+        monkeypatch.setattr(presheaf, name, lambda p, t, real=real: built.append(t) or real(p, t))
+    assert find_acm_summand(lepotier()) is None
+    assert built == []
+    base = lepotier()
+    padded = KerPresentation(form_hstack([base.g, FormMatrix.zero(F, ((1, 0),), base.B)]), verify=False)
+    assert find_acm_summand(padded)[0] == (1, 0)
+    assert sorted(built) == [(1, 0), (1, 0)]
+
+
+def test_find_acm_summand_checks_ext1_at_a_twist_without_sections():
+    # E = ker [u^2, v^2] = O(1,0) and B = O(1,4).  At the first candidate
+    # (1, 1), E(-1,-1) has no sections, but Ext^1(O(1,4), O(1,1)) =
+    # H1(O(0,-3)) is nonzero, so the Hom model fails there
+    p = KerPresentation(gm([(1, 2), (1, 2)], [(1, 4)], [["u^2", "v^2"]]))
+    assert p.h0_dim((-1, -1)) == 0
+    with pytest.raises(PrereqVanishingFailed, match=r"Ext\^1\(O\(1, 4\), O\(1, 1\)\) is nonzero"):
+        find_acm_summand(p)
 
 
 def test_strip_acm_keeps_stable_bundle():
@@ -462,3 +546,51 @@ def test_serre_duality_between_presentation_and_dual_monad():
                 assert p.h0_dim(e) == dual.h2_dim(se)
                 assert p.h1_dim(e) == dual.h1_dim(se)
                 assert p.h2_dim(e) == dual.h0_dim(se)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"
+CORPUS_MONADS_WITH_K = sorted(
+    f.name for f in CORPUS.glob("*.monad") if any(l.startswith("K: (") for l in f.read_text().splitlines())
+)
+
+
+def _assert_monad_h1_h2_match_the_h2_model_solve(monad, lo=-4, hi=4):
+    for d in range(lo, hi + 1):
+        for e in ((d, d), spinor_shift(1, d), spinor_shift(2, d)):
+            assert (monad.h1_dim(e), monad.h2_dim(e)) == monad_h1_h2_by_h2_model(monad, e), e
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS_WITH_K)
+def test_monad_h1_h2_match_the_h2_model_solve_on_corpus_monads(name):
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    assert monad.K
+    _assert_monad_h1_h2_match_the_h2_model_solve(monad)
+
+
+def test_corpus_has_monads_with_k():
+    assert len(CORPUS_MONADS_WITH_K) >= 20
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=lambda f: f.name)
+@pytest.mark.parametrize("dims", [{0: 2}, {0: 3}, {0: 2, 1: 1}], ids=str)
+@pytest.mark.parametrize("seed", range(2))
+def test_monad_h1_h2_match_the_h2_model_solve_on_synthesized_monads(field, dims, seed):
+    rng = random.Random(seed)
+    monad = synthesize(random_triple(field, rng, dims), rng=rng)
+    assert monad.K
+    _assert_monad_h1_h2_match_the_h2_model_solve(monad)
+
+
+def test_monad_table_refuses_a_target_with_h1_where_h2_of_k_lives():
+    # K = O -> 2 O(0,1) + O -> O(0,2) is the Koszul complex of (u, v) plus
+    # an O, so E = O.  At (-3, -2), H2(K) = H2(O(-3,-2)) is nonzero and so
+    # is H1(B) = H1(O(-3,0)): H2(ker psi) need not embed in H2(A) there
+    a = [(0, 1), (0, 1), (0, 0)]
+    monad = MonadPresentation(gm([(0, 0)], a, [["0-v"], ["u"], ["0"]]), gm(a, [(0, 2)], [["u", "v", "0"]]))
+    assert monad.dims_at((0, 0)) == (1, 0, 0)
+    with pytest.raises(PrereqVanishingFailed, match=r"H1 of the target is nonzero at shift \(-3, -2\)$"):
+        monad.table(-4, 4)
+    with pytest.raises(PrereqVanishingFailed, match=r"H1 of the target is nonzero at shift \(-2, -2\)$"):
+        monad.h2_dim((-2, -2))
+    with pytest.raises(PrereqVanishingFailed):
+        monad_h1_h2_by_h2_model(monad, (-2, -2))
