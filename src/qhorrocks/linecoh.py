@@ -356,6 +356,12 @@ def h0_mult_on_split(s: SplitBundle, f: BiForm, e: Twist) -> Matrix:
 
 @dataclass
 class SurjectivityReport:
+    """The answer of sheaf_surjective and the twist that certified it.
+
+    When surjective, B(twist) is globally generated and H0 of the map is
+    onto at twist, hence at every twist >= it componentwise.
+    """
+
     surjective: bool
     twist: Twist  # the twist that certified the answer
     coker_dim: int  # of the section map there

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .bipoly import BiForm, deg_add, deg_sub
 from .linecoh import (
     FormMatrix,
     SplitBundle,
+    SurjectivityReport,
     Twist,
     _map_sections,
     constant_pairing,
@@ -114,8 +116,13 @@ class KerPresentation:
         self.rank = len(self.A) - len(self.B)
         self.gamma_form = all(is_acm_twist(t) for t in self.A) and all(is_free_twist(t) for t in self.B)
         self._cache: dict = {}
-        if verify and not (rep := sheaf_surjective(g)).surjective:
+        if verify and not (rep := self.onto).surjective:
             raise NotSurjective(f"not onto: section cokernel of dimension {rep.coker_dim} at twist {rep.twist}")
+
+    @cached_property
+    def onto(self) -> SurjectivityReport:
+        """sheaf_surjective(g), kept: computed at load time, or at the first forced rank when unverified."""
+        return sheaf_surjective(self.g)
 
     def __repr__(self):
         return f"KerPresentation({list(self.A)} -> {list(self.B)})"
@@ -128,17 +135,23 @@ class KerPresentation:
         return self._cache[key]
 
     # -- H0 -------------------------------------------------------------
+    def _h0_rank(self, e: Twist) -> int:
+        """Rank of H0(g(e)): h0(B(e)) where the certificate proves it onto, else eliminated."""
+        if _h0_onto(self.onto, e):
+            return split_dim(0, self.B, e)
+        return self.h_matrix(0, e).rank()
+
     def h0_space(self, e: Twist) -> Matrix:
         """Columns: a basis of H0(E(e)) inside H0(A(e))."""
         key = ("h0", e)
         if key not in self._cache:
-            m = self.h_matrix(0, e)
-            self._cache[key] = m.kernel_matrix() if m.rank() < m.cols else Matrix.zeros(self.field, m.cols, 0)
+            n = split_dim(0, self.A, e)
+            injective = self._h0_rank(e) == n
+            self._cache[key] = Matrix.zeros(self.field, n, 0) if injective else self.h_matrix(0, e).kernel_matrix()
         return self._cache[key]
 
     def h0_dim(self, e: Twist) -> int:
-        m = self.h_matrix(0, e)
-        return m.cols - m.rank()
+        return split_dim(0, self.A, e) - self._h0_rank(e)
 
     def cosection_space(self, t: Twist) -> Matrix:
         """Columns: a basis of Hom(E, O(t)) inside H0(A^v(t)), as coset representatives.
@@ -154,8 +167,9 @@ class KerPresentation:
             for b in self.B:
                 if kunneth_dim(1, deg_sub(t, b)) != 0:
                     raise PrereqVanishingFailed(f"Ext^1(O{b}, O{t}) is nonzero")
-            mat = induced_h(self.g.dual(), 0, t)  # Hom(B, L) -> Hom(A, L)
-            self._cache[key] = _coker_data(mat)[0]
+            mat = induced_h(self.g.dual(), 0, t)  # Hom(B, L) -> Hom(A, L), injective when g is onto
+            rank = mat.cols if self.onto.surjective else mat.rank()
+            self._cache[key] = _coker_data(self.field, mat.rows, rank, lambda: mat)[0]
         return self._cache[key]
 
     # -- H1 -------------------------------------------------------------
@@ -164,13 +178,13 @@ class KerPresentation:
         if key not in self._cache:
             if split_dim(1, self.A, e) != 0:
                 raise PrereqVanishingFailed(f"H1 of the middle term is nonzero at shift {e}")
-            m = self.h_matrix(0, e)
-            self._cache[key] = CokerModel(e, m.rows, *_coker_data(m))
+            n = split_dim(0, self.B, e)
+            coker = _coker_data(self.field, n, self._h0_rank(e), lambda: self.h_matrix(0, e))
+            self._cache[key] = CokerModel(e, n, *coker)
         return self._cache[key]
 
     def h1_dim(self, e: Twist) -> int:
-        m0 = self.h_matrix(0, e)
-        coker0 = m0.rows - m0.rank()
+        coker0 = split_dim(0, self.B, e) - self._h0_rank(e)
         if split_dim(1, self.A, e) == 0:
             return coker0
         m1 = self.h_matrix(1, e)
@@ -178,8 +192,9 @@ class KerPresentation:
 
     # -- H2 -------------------------------------------------------------
     def h2_dim(self, e: Twist) -> int:
-        m2 = self.h_matrix(2, e)
-        ker2 = m2.cols - m2.rank()
+        # H3 vanishes on a surface, so H2 of an onto g is onto
+        rank2 = split_dim(2, self.B, e) if self.onto.surjective else self.h_matrix(2, e).rank()
+        ker2 = split_dim(2, self.A, e) - rank2
         if split_dim(1, self.B, e) == 0:
             return ker2
         m1 = self.h_matrix(1, e)
@@ -227,11 +242,16 @@ class KerPresentation:
         return _strip_table(self.dims_at, lo, hi)
 
 
-def _coker_data(m: Matrix) -> tuple[Matrix, Matrix]:
-    """quotient_data of the column span of m, with no elimination when the rank fills it."""
-    if m.rank() == m.rows:
-        return Matrix.zeros(m.field, m.rows, 0), Matrix.zeros(m.field, 0, m.rows)
-    return quotient_data(m.field, m.rows, list(m.columns()))
+def _h0_onto(rep: SurjectivityReport, e: Twist) -> bool:
+    """Whether rep proves H0 of its map onto at e, which it does at every e >= rep.twist."""
+    return rep.surjective and e[0] >= rep.twist[0] and e[1] >= rep.twist[1]
+
+
+def _coker_data(field, rows: int, rank: int, span) -> tuple[Matrix, Matrix]:
+    """quotient_data of the column span of the matrix span() of that rank; not built when the rank fills it."""
+    if rank == rows:
+        return Matrix.zeros(field, rows, 0), Matrix.zeros(field, 0, rows)
+    return quotient_data(field, rows, list(span().columns()))
 
 
 def support_window(dim_at, start: int, settled: int, what: str) -> tuple[int, int]:
@@ -550,8 +570,13 @@ class MonadPresentation:
             raise ValueError("psi o kappa is nonzero")
         self.fbar = KerPresentation(psi, verify=verify)
         self._cache: dict = {}
-        if verify and not (rep := sheaf_surjective(kappa.dual())).surjective:
+        if verify and not (rep := self.dual_onto).surjective:
             raise ValueError(f"kappa drops rank: its dual has a section cokernel at twist {rep.twist}")
+
+    @cached_property
+    def dual_onto(self) -> SurjectivityReport:
+        """sheaf_surjective(kappa^v), kept like KerPresentation.onto; when onto, kappa is injective."""
+        return sheaf_surjective(self.kappa.dual())
 
     def __repr__(self):
         return f"MonadPresentation({list(self.K)} -> {list(self.A)} -> {list(self.B)})"
@@ -598,17 +623,21 @@ class MonadPresentation:
         """h2(K(e)) and the rank of H2(K(e)) -> H2(ker psi)(e).
 
         That is the rank of H2(kappa) into H2(A(e)): psi o kappa = 0, and H1(B(e)) = 0 embeds H2(ker psi) there.
+        By Serre duality H2(kappa(e)) is the transpose of H0(kappa^v(-e - (2, 2))), so it is
+        injective wherever the dual certificate proves that onto.
         """
         key = ("h2k", e)
         if key not in self._cache:
-            full = induced_h(self.kappa, 2, e)
-            if full.cols and split_dim(1, self.B, e) != 0:
+            h2k = split_dim(2, self.K, e)
+            if h2k and split_dim(1, self.B, e) != 0:
                 raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
-            self._cache[key] = (full.cols, full.rank())
+            injective = not h2k or _h0_onto(self.dual_onto, (-e[0] - 2, -e[1] - 2))
+            self._cache[key] = (h2k, h2k if injective else induced_h(self.kappa, 2, e).rank())
         return self._cache[key]
 
     def h0_dim(self, e: Twist) -> int:
-        r0 = induced_h(self.kappa, 0, e).rank()
+        # H0 is left exact, so kappa stays injective on sections
+        r0 = split_dim(0, self.K, e) if self.dual_onto.surjective else induced_h(self.kappa, 0, e).rank()
         c1 = self.h1k_map(e)
         return (self.fbar.h0_dim(e) - r0) + (c1.cols - c1.rank())
 
@@ -642,7 +671,8 @@ class MonadPresentation:
         degrees where each dual summand first has sections, so checking the
         cokernel on the finite degree range between the smallest and largest
         such degree decides all twists at once.  Needs every twist of B to
-        be ACM (true for the free targets produced in this package).
+        be ACM (true for the free targets produced in this package).  Degrees
+        at or past the dual's certificate twist are onto without a check.
         """
         if not self.K:
             return True
@@ -651,6 +681,8 @@ class MonadPresentation:
         firsts = [max(k) for k in self.K]
         dual = self.kappa.dual()
         for f in range(min(firsts), max(firsts) + 1):
+            if _h0_onto(self.dual_onto, (f, f)):
+                break
             m = induced_h(dual, 0, (f, f))
             if m.rows - m.rank() != 0:
                 return False

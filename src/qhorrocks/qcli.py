@@ -44,7 +44,7 @@ def _read_source(token: str, field) -> str:
         try:
             rep = fixtures.load_fixture(name, field)
         except KeyError as exc:
-            raise CliError(str(exc), 2) from exc
+            raise CliError(exc.args[0], 2) from exc
         return textio.format_bundle_text(rep)
     try:
         with open(token, "r", encoding="utf-8") as fh:

@@ -12,8 +12,8 @@ import numpy as np
 
 from qhorrocks.bipoly import BiForm
 from qhorrocks.exactla import Matrix
-from qhorrocks.linecoh import FormMatrix, induced_h, split_dim, split_dims
-from qhorrocks.presheaf import PrereqVanishingFailed, _candidate_acm_twists, summand_pairing
+from qhorrocks.linecoh import FormMatrix, induced_h, spinor_shift, split_dim, split_dims
+from qhorrocks.presheaf import MonadPresentation, PrereqVanishingFailed, _candidate_acm_twists, summand_pairing
 
 
 def form_mul(f: BiForm, g: BiForm) -> BiForm:
@@ -125,3 +125,43 @@ def find_acm_summand_ungated(p):
         scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
         return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
     return None
+
+
+def _ker_dims(g: FormMatrix, e) -> tuple[int, int, int]:
+    """h0, h1, h2 of ker g at e from the long exact sequence of g, every rank eliminated."""
+    m0, m1, m2 = (induced_h(g, i, e) for i in (0, 1, 2))
+    r0, r1, r2 = m0.rank(), m1.rank(), m2.rank()
+    return m0.cols - r0, (m0.rows - r0) + (m1.cols - r1), (m2.cols - r2) + (m1.rows - r1)
+
+
+def eliminated_dims(rep, e) -> tuple[int, int, int]:
+    """h0, h1, h2 of a presentation at e with every rank eliminated, as tables were made before forced ranks.
+
+    For a monad the connecting map H1(K(e)) -> H1(ker psi(e)) comes from
+    `h1k_map`; H2(kappa) is ranked into H2(A(e)), which needs H1(B(e)) = 0
+    when H2(K(e)) is nonzero (PrereqVanishingFailed otherwise).
+    """
+    if not isinstance(rep, MonadPresentation):
+        return _ker_dims(rep.g, e)
+    k0, k2 = induced_h(rep.kappa, 0, e), induced_h(rep.kappa, 2, e)
+    if k2.cols and split_dim(1, rep.B, e) != 0:
+        raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
+    (f0, f1, f2), c1, r2 = _ker_dims(rep.psi, e), rep.h1k_map(e), k2.rank()
+    return (f0 - k0.rank()) + (c1.cols - c1.rank()), (f1 - c1.rank()) + (k2.cols - r2), f2 - r2
+
+
+def eliminated_table(rep, lo: int, hi: int) -> dict:
+    """rep.table(lo, hi) computed by eliminated_dims."""
+    return {
+        (kind, d): eliminated_dims(rep, e)
+        for d in range(lo, hi + 1)
+        for kind, e in (("o", (d, d)), ("s1", spinor_shift(1, d)), ("s2", spinor_shift(2, d)))
+    }
+
+
+def h2_kappa_injective_scan(monad) -> bool:
+    """h2_kappa_injective's cokernel check at every degree of its range, none skipped."""
+    firsts = [max(k) for k in monad.K]
+    dual = monad.kappa.dual()
+    mats = [induced_h(dual, 0, (f, f)) for f in range(min(firsts, default=0), max(firsts, default=-1) + 1)]
+    return all(m.rank() == m.rows for m in mats)

@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 
@@ -50,7 +51,10 @@ from qhorrocks import presheaf, textio
 from qhorrocks.generate import random_triple
 from qhorrocks.horrocks import synthesize
 from reference import (
+    eliminated_dims,
+    eliminated_table,
     find_acm_summand_ungated,
+    h2_kappa_injective_scan,
     form_add,
     form_compose,
     form_mul,
@@ -549,6 +553,7 @@ def test_serre_duality_between_presentation_and_dual_monad():
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"
+CORPUS_MONADS = sorted(f.name for f in CORPUS.glob("*.monad"))
 CORPUS_MONADS_WITH_K = sorted(
     f.name for f in CORPUS.glob("*.monad") if any(l.startswith("K: (") for l in f.read_text().splitlines())
 )
@@ -594,3 +599,100 @@ def test_monad_table_refuses_a_target_with_h1_where_h2_of_k_lives():
         monad.h2_dim((-2, -2))
     with pytest.raises(PrereqVanishingFailed):
         monad_h1_h2_by_h2_model(monad, (-2, -2))
+
+
+# forced ranks: H0 of an onto g at e >= c and its H2 everywhere, H0 of kappa,
+# and H2 of kappa where -e - (2, 2) >= c', against every rank eliminated
+
+
+def _certificate_windows(rep):
+    """Windows of one to five degrees around c, and around where c' starts forcing H2(kappa)."""
+    if isinstance(rep, MonadPresentation):
+        c, dual = rep.fbar.onto, rep.dual_onto
+        assert c.surjective and dual.surjective
+        return [max(c.twist), -max(dual.twist) - 2]
+    assert rep.onto.surjective
+    return [max(rep.onto.twist)]
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized_monad(field, dims, seed):
+    rng = random.Random(seed)
+    return synthesize(random_triple(field, rng, dict(dims)), rng=rng)
+
+
+ALL_FIELDS = [PrimeField(2), PrimeField(5), F, RationalField()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tables_match_the_eliminated_reference_across_both_certificates(data):
+    source = data.draw(st.sampled_from(["fixture", "corpus", "synthesized"]))
+    if source == "fixture":
+        rep = load_fixture(data.draw(st.sampled_from(fixture_names())), data.draw(st.sampled_from(ALL_FIELDS)))
+    elif source == "corpus":
+        rep = textio.parse_bundle_text((CORPUS / data.draw(st.sampled_from(CORPUS_MONADS))).read_text())
+    else:
+        field = data.draw(st.sampled_from([PrimeField(2), PrimeField(5), RationalField()]))
+        dims = data.draw(st.sampled_from([((0, 2),), ((0, 2), (1, 1)), ((-1, 1), (0, 2))]))
+        rep = _synthesized_monad(field, dims, data.draw(st.integers(0, 3)))
+    centre = data.draw(st.sampled_from(_certificate_windows(rep)))
+    lo, hi = centre - data.draw(st.integers(1, 2)), centre + data.draw(st.integers(0, 2))
+    assert rep.table(lo, hi) == eliminated_table(rep, lo, hi)
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS)
+def test_corpus_monad_tables_match_the_eliminated_reference(name):
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    for centre in _certificate_windows(monad):
+        assert monad.table(centre - 2, centre + 2) == eliminated_table(monad, centre - 2, centre + 2)
+
+
+def test_unverified_map_that_is_not_onto_eliminates_every_rank():
+    # [s]: O(-1,0) -> O misses the line s = 0, so no H0 rank is forced;
+    # forcing one at (2, 2) would give h1 = 0 there, not h0(O_line(2, 2)) = 3
+    p = KerPresentation(gm([(-1, 0)], [(0, 0)], [["s"]]), verify=False)
+    assert not p.onto.surjective
+    assert p.table(-4, 4) == eliminated_table(p, -4, 4)
+    assert p.dims_at((2, 2))[1] == 3
+    # the zero map O -> O is onto on no H2, and its dual is injective on no H0
+    zero = KerPresentation(FormMatrix.zero(F, ((0, 0),), ((0, 0),)), verify=False)
+    assert zero.table(-4, 4) == eliminated_table(zero, -4, 4)
+    assert zero.h2_dim((-3, -3)) == 4 and zero.cosection_space((0, 0)).cols == 1
+
+
+def test_unverified_monad_whose_kappa_drops_rank_eliminates_every_rank():
+    # kappa = 0 on K = O(-1,-1) is not injective; forcing the H0 rank of
+    # kappa at (1, 1) would subtract h0(K(1,1)) = 1 from h0
+    p = omega1()
+    monad = MonadPresentation(FormMatrix.zero(F, ((-1, -1),), p.A), p.g, verify=False)
+    assert not monad.dual_onto.surjective
+    for d in range(-4, 5):
+        for e in ((d, d), spinor_shift(1, d), spinor_shift(2, d)):
+            assert (monad.h0_dim(e), monad.h1_dim(e), monad.h2_dim(e)) == eliminated_dims(monad, e)
+    assert monad.h0_dim((1, 1)) == p.h0_dim((1, 1))
+    assert not monad.h2_kappa_injective() and not h2_kappa_injective_scan(monad)
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS_WITH_K)
+def test_h2_kappa_injective_skips_degrees_past_the_dual_certificate(monkeypatch, name):
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    c = monad.dual_onto.twist
+    calls = []
+    induced = presheaf.induced_h
+    monkeypatch.setattr(presheaf, "induced_h", lambda m, i, e: calls.append(e) or induced(m, i, e))
+    assert monad.h2_kappa_injective() and h2_kappa_injective_scan(monad)
+    assert all(not (e[0] >= c[0] and e[1] >= c[1]) for e in calls)
+
+
+def test_lepotier_wide_table_takes_forced_ranks_from_the_certificate(monkeypatch):
+    p = load_fixture("lepotier", F)
+    calls = []
+    induced = presheaf.induced_h
+    monkeypatch.setattr(presheaf, "induced_h", lambda m, i, e: calls.append((m, i, e)) or induced(m, i, e))
+    table = p.table(-20, 20)
+    c = p.onto.twist
+    mine = [(i, e) for m, i, e in calls if m is p.g]
+    assert mine and not [e for i, e in mine if i == 2]
+    assert not [e for i, e in mine if i == 0 and e[0] >= c[0] and e[1] >= c[1]]
+    assert table == eliminated_table(p, -20, 20)

@@ -232,6 +232,13 @@ def test_cli_bad_file_exit2(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_unknown_example_message_is_not_quoted(capsys):
+    code, out, err = run_cli(capsys, "cohomology", "example:nonexistent")
+    names = ", ".join(fixtures.fixture_names())
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown example 'nonexistent'; available: {names}\n"
+
+
 # bundle files that used to load as a different bundle: the extra row was
 # dropped, the junk between the pairs skipped, the monad sections ignored
 MISREAD = {
@@ -387,6 +394,14 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "omega1" in proc.stdout
+
+
+def test_cli_t11_wide_table_matches_its_golden(capsys):
+    # tests/data/t11-16.cohomology was printed by the code that eliminated every rank
+    root = Path(__file__).resolve().parents[1]
+    code, out, err = run_cli(capsys, "cohomology", str(root / "perfbench/corpus/roundtrip/t11.monad"), "--window=-16..16")
+    assert (code, err) == (0, "")
+    assert out == (root / "tests/data/t11-16.cohomology").read_text()
 
 
 def test_cli_field_switch(capsys):
