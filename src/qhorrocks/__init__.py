@@ -25,11 +25,9 @@ from .linecoh import (
 from .presheaf import (
     KerPresentation,
     MonadPresentation,
-    lift_lambda,
     line_bundle_table,
     solve_form_system,
     strip_acm,
-    summand_pairing,
 )
 from .flmod import (
     FinLengthModule,

@@ -239,7 +239,6 @@ class Extraction:
     triple: HorrocksTriple
     mm: ModelledModule
     rho: FormMatrix
-    lam: FormMatrix
 
 
 def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
@@ -251,6 +250,15 @@ def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
     Only the subspace step depends on the input: the kernel of the
     comparison for a kernel presentation, the transported images of the
     differential's H1 classes for a monad.
+
+    The comparison is the chain map (lambda, rho) from the minimal
+    presentation psi: L1 -> L0 of M to g: A -> B, and only rho is built.
+    The lift lambda with g o lambda = rho o psi always exists: a relation
+    r = sum f_i g_i of M in degree d (a column of psi) maps under rho to
+    sum f_i [rep(g_i)], which is 0 in the coker model of H1(E(d, d)).  A is
+    ACM (free, for a monad's ker psi), so H1(A(d, d)) = 0 and that model is
+    exact; hence rho o psi (r) lies in the image of H0(g).  Nothing reads
+    lambda, so it is not solved for; the tests check that it solves.
     """
     monad = isinstance(rep, MonadPresentation)
     if not monad:
@@ -262,15 +270,13 @@ def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
     pres = minimal_presentation(mm.module)
     triple = HorrocksTriple(pres, sigma_modules(pres), {}, {})
     if mm.module.is_zero:
-        empty = FormMatrix.zero(rep.field, (), rep.B)
-        return Extraction(triple, mm, empty, empty)
+        return Extraction(triple, mm, FormMatrix.zero(rep.field, (), rep.B))
     rho = _rho_from_generators(pres, mm, rep.B)
-    lam = solve_form_system((rep.fbar if monad else rep).g, rho.compose(pres.psi))
     subspaces = _transported_images if monad else _kernel_subspaces
     for side in (1, 2):
         fam, sub = _side(triple, side)
         sub.update(subspaces(rep, fam, rho, side))
-    return Extraction(triple.validate(), mm, rho, lam)
+    return Extraction(triple.validate(), mm, rho)
 
 
 def _kernel_subspaces(rep: KerPresentation, fam: dict, rho: FormMatrix, side: int) -> dict[int, Matrix]:

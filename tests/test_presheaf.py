@@ -32,19 +32,16 @@ from qhorrocks.linecoh import (
     split_dim,
 )
 from qhorrocks.presheaf import (
+    InternalInvariantViolation,
     KerPresentation,
     MonadPresentation,
     NotSurjective,
     PrereqVanishingFailed,
     delta_matrix,
     find_acm_summand,
-    hom_ker_to_line,
-    hom_line_to_ker,
-    lift_lambda,
     line_bundle_table,
     solve_form_system,
     strip_acm,
-    summand_pairing,
     _split_off_unit,
 )
 from qhorrocks import presheaf, textio
@@ -59,8 +56,11 @@ from reference import (
     form_compose,
     form_mul,
     form_scale,
+    h1k_map_by_columns,
     identity_form_matrix,
+    lift_lambda,
     monad_h1_h2_by_h2_model,
+    summand_pairing,
 )
 
 F = PrimeField(DEFAULT_PRIME)
@@ -382,15 +382,23 @@ def test_find_acm_summand_matches_the_ungated_scan_on_fixtures(field):
 
 def test_find_acm_summand_builds_hom_bases_only_at_the_returned_twist(monkeypatch):
     built = []
-    for name in ("hom_line_to_ker", "hom_ker_to_line"):
-        real = getattr(presheaf, name)
-        monkeypatch.setattr(presheaf, name, lambda p, t, real=real: built.append(t) or real(p, t))
+
+    class Recording(FormMatrix):
+        """FormMatrix whose from_sections records the source twists of each map it builds."""
+
+        @staticmethod
+        def from_sections(field, src, dst, sections):
+            built.append(tuple(src))
+            return FormMatrix.from_sections(field, src, dst, sections)
+
+    monkeypatch.setattr(presheaf, "FormMatrix", Recording)
     assert find_acm_summand(lepotier()) is None
     assert built == []
     base = lepotier()
     padded = KerPresentation(form_hstack([base.g, FormMatrix.zero(F, ((1, 0),), base.B)]), verify=False)
     assert find_acm_summand(padded)[0] == (1, 0)
-    assert sorted(built) == [(1, 0), (1, 0)]
+    # phi is built as a column O(1,0) -> A, pi as the dual of a column O(-1,0) -> A^v
+    assert sorted(built) == [((-1, 0),), ((1, 0),)]
 
 
 def test_find_acm_summand_checks_ext1_at_a_twist_without_sections():
@@ -696,3 +704,64 @@ def test_lepotier_wide_table_takes_forced_ranks_from_the_certificate(monkeypatch
     assert mine and not [e for i, e in mine if i == 2]
     assert not [e for i, e in mine if i == 0 and e[0] >= c[0] and e[1] >= c[1]]
     assert table == eliminated_table(p, -20, 20)
+
+
+# h1k_map runs delta_matrix's chase on the kappa columns.  The per-column
+# form solve it replaced (reference.h1k_map_by_columns) extends each column
+# by the Koszul inclusion instead, so every class comes out negated.
+
+
+def _h1k_or_none(h1k, monad, e):
+    """h1k(monad, e), or None where the coker model at e is refused."""
+    try:
+        return h1k(monad, e)
+    except PrereqVanishingFailed:
+        return None
+
+
+def _assert_h1k_map_negates_the_column_chase(monad, lo=-6, hi=6) -> int:
+    """Compare on every strip twist of [lo, hi]; returns how many matrices had entries."""
+    nonempty = 0
+    for d in range(lo, hi + 1):
+        for e in ((d, d), spinor_shift(1, d), spinor_shift(2, d)):
+            ours = _h1k_or_none(MonadPresentation.h1k_map, monad, e)
+            ref = _h1k_or_none(h1k_map_by_columns, monad, e)
+            if ours is None or ref is None:
+                assert ours is None and ref is None, e
+                continue
+            assert ours == -ref, e
+            nonempty += ours.rows > 0 and ours.cols > 0
+    return nonempty
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS)
+def test_h1k_map_negates_the_column_chase_on_corpus_monads(name):
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    _assert_h1k_map_negates_the_column_chase(monad)
+
+
+def test_h1k_map_column_chase_comparison_sees_nonzero_classes():
+    total = sum(
+        _assert_h1k_map_negates_the_column_chase(textio.parse_bundle_text((CORPUS / name).read_text()))
+        for name in CORPUS_MONADS_WITH_K[:6]
+    )
+    assert total > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_h1k_map_negates_the_column_chase_on_synthesized_monads(data):
+    field = data.draw(st.sampled_from([PrimeField(2), PrimeField(5), RationalField()]))
+    dims = data.draw(st.sampled_from([((0, 2),), ((0, 2), (1, 1)), ((-1, 1), (0, 2))]))
+    monad = _synthesized_monad(field, dims, data.draw(st.integers(0, 3)))
+    _assert_h1k_map_negates_the_column_chase(monad, -4, 4)
+
+
+def test_h1k_map_refuses_a_summand_whose_h1_is_not_its_euler_class():
+    # K = O(0,-1) carries the class of the j = 2 Euler sequence at (0, -1),
+    # where K(e) = O(0,-2).  At (-2, 1), K(e) = O(-2,0) has a one-dimensional
+    # H1 as well, but no chase of K's column lands there
+    monad = MonadPresentation(gm([(0, -1)], [(1, 1)], [["s*u^2"]]), FormMatrix.zero(F, ((1, 1),), ()), verify=False)
+    assert (monad.h1k_map((0, -1)).rows, monad.h1k_map((0, -1)).cols) == (0, 1)
+    with pytest.raises(InternalInvariantViolation, match=r"^H1 of summand \(0, -1\) at shift \(-2, 1\) is not its Euler class$"):
+        monad.h1k_map((-2, 1))

@@ -1,4 +1,5 @@
 import builtins
+import os
 import random
 import re
 import subprocess
@@ -416,3 +417,42 @@ def test_small_prime_pipeline():
     f101 = PrimeField(101)
     ext = extract_invariants(fixtures.load_fixture("lepotier", f101))
     assert ext.triple.w_dim(-1) == 2 and ext.triple.v_dim(-1) == 2
+
+
+def test_cli_closed_pipe_exits_141_without_a_traceback():
+    # the reader of stdout is gone before the first write, so every run sees EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhorrocks", "cohomology", "example:o-20", "--window=-1..1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# K = O(1,-2) is no spinor-inverse twist.  At (0, 0) its H1 is two-dimensional,
+# at (-1, 0) it is one-dimensional; the dimension is checked first
+NON_SPINOR_MONAD = (
+    "field p=32003\nbundle monad\nK: (1,-2)\nA: (2,-1) (2,-1) (2,-1) (2,-1)\nB:\n"
+    "kappa:\n[x0]\n[x1]\n[x2]\n[x3]\ng:\n"
+)
+
+
+def test_cli_cohomology_refuses_a_non_spinor_summand_by_its_h1_dimension(capsys, tmp_path):
+    path = tmp_path / "nonspinor.monad"
+    path.write_text(NON_SPINOR_MONAD)
+    code, out, err = run_cli(capsys, "cohomology", str(path), "--window=0..0")
+    assert (code, out, err) == (1, "", "verification failed: unsupported shift (0, 0) for summand (1, -2)\n")
+
+
+def test_h1k_map_checks_the_h1_dimension_before_the_spinor_type():
+    monad = textio.parse_bundle_text(NON_SPINOR_MONAD)
+    with pytest.raises(InternalInvariantViolation, match=r"^unsupported shift \(0, 0\) for summand \(1, -2\)$"):
+        monad.h1k_map((0, 0))
+    with pytest.raises(InternalInvariantViolation, match=r"^column twist \(1, -2\) is not of spinor type$"):
+        monad.h1k_map((-1, 0))
