@@ -21,6 +21,7 @@ from .linecoh import (
     is_free_twist,
     kunneth_dim,
     sheaf_surjective,
+    split_h,
 )
 from .presheaf import (
     KerPresentation,

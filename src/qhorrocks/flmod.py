@@ -30,7 +30,7 @@ import numpy as np
 
 from .exactla import FieldMismatch, Matrix, QhorrocksError, hstack, quotient_data
 from .bipoly import BiForm, monomial_basis
-from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, split_dims
+from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, split_h
 from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed, support_window
 
 
@@ -142,7 +142,7 @@ class MinimalPresentation:
     def pi_at(self, d: int) -> Matrix:
         if d in self.pi:
             return self.pi[d]
-        amb = sum(split_dims(0, self.L0, (d, d)))
+        amb = split_h(self.L0, (d, d))[0]
         return Matrix.zeros(self.module.field, self.module.dim(d), amb)
 
 
@@ -212,7 +212,7 @@ def minimal_presentation(m: FinLengthModule) -> MinimalPresentation:
     rel_cols: list[tuple[int, np.ndarray]] = []  # (degree, vector in H0(L0(d,d)))
     below = Matrix.zeros(fld, 0, 0)  # kernel of pi at d - 1
     for d in range(m.lo, bound + 1):
-        pi_d = pi[d] if d in pi else Matrix.zeros(fld, 0, sum(split_dims(0, L0, (d, d))))
+        pi_d = pi[d] if d in pi else Matrix.zeros(fld, 0, split_h(L0, (d, d))[0])
         ker = pi_d.kernel_matrix()
         known = []
         if ker.cols and below.cols:

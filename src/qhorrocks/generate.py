@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .exactla import Matrix, quotient_data, span_basis
 from .bipoly import BiForm
-from .linecoh import h0_mult_on_split, split_dims
+from .linecoh import h0_mult_on_split, split_h
 from .flmod import X_FORMS, FinLengthModule, minimal_presentation, sigma_modules, socle_subspace
 from .horrocks import HorrocksTriple
 
@@ -31,7 +31,7 @@ def random_module(field, rng, dims: dict[int, int]) -> FinLengthModule:
     proj: dict[int, Matrix] = {}
     got: dict[int, int] = {}
     for d in range(lo, hi + 2):
-        amb = sum(split_dims(0, gens, (d, d)))
+        amb = split_h(gens, (d, d))[0]
         want = dims.get(d, 0) if d <= hi else 0
         killed = []
         if d - 1 in kill and kill[d - 1].cols:

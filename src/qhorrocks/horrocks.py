@@ -46,7 +46,7 @@ from .linecoh import (
     is_free_twist,
     spinor_kind,
     spinor_shift,
-    split_dim,
+    split_h,
 )
 from .presheaf import (
     InternalInvariantViolation,
@@ -378,7 +378,7 @@ def _free_closure_rows(theta: FormMatrix) -> FormMatrix:
     fmin, fmax = min(firsts), max(firsts)
     twists, columns = [], []
     for f in range(fmin, fmax + 1):
-        amb = split_dim(0, dual.dst, (f, f))
+        amb = split_h(dual.dst, (f, f))[0]
         killed = list(induced_h(dual, 0, (f, f)).columns())
         if f > fmin:
             # the previous degree is fully covered, so its image under the
@@ -553,7 +553,7 @@ def four_term_check(rep: KerPresentation, extraction: Extraction) -> dict:
             kdim = sub[d].cols if d in sub else 0
             mdim = fam[d].dim if d in fam else 0
             edim = rep.h1_dim(e)
-            adim = split_dim(1, rep.A, e)
+            adim = split_h(rep.A, e)[1]
             total = kdim - mdim + edim - adim
             out[(side, d)] = (kdim, mdim, edim, adim)
             if total != 0:

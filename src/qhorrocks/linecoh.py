@@ -13,8 +13,9 @@ explicit finite monomial basis:
     H1: s,t exponents >= 0 and u,v exponents <= -1, or the mirror image
     H2: all four exponents <= -1
 
-All higher machinery reduces its cohomology questions to matrices of this
-multiplication action, so no Cech complex appears anywhere in the package.
+Every dimension comes from `split_h`, the one Kunneth formula, so a table
+costs that arithmetic plus the ranks no surjectivity certificate forces, all
+of matrices of this action; no Cech complex appears anywhere in the package.
 
 A twist (a, b) denotes the line bundle O(a, b).  The two spinor line bundles
 are O(1, 0) and O(0, 1); O(d) means O(d, d).  The ACM twists, those with no
@@ -44,6 +45,12 @@ class MalformedMatrix(QhorrocksError, ValueError):
     exit_code = 2
 
 
+class InternalInvariantViolation(QhorrocksError, RuntimeError):
+    """A step the theory guarantees to succeed did not; indicates invalid input."""
+
+    exit_code = 1
+
+
 def is_acm_twist(t: Twist) -> bool:
     return abs(t[0] - t[1]) <= 1
 
@@ -67,28 +74,33 @@ def spinor_shift(side: int, d: int) -> Twist:
     return deg_add((d, d), SIGMA1 if side == 1 else SIGMA2)
 
 
-def euler_char(s: SplitBundle) -> int:
-    """chi of a direct sum of line bundles; (a+1)(b+1) per summand."""
-    return sum((a + 1) * (b + 1) for a, b in s)
+def euler_char(s: SplitBundle, e: Twist = (0, 0)) -> int:
+    """chi of a direct sum of line bundles twisted by e; (a+1)(b+1) per twisted summand O(a, b)."""
+    return sum((a + e[0] + 1) * (b + e[1] + 1) for a, b in s)
 
 
-def _h01(p: int) -> int:
-    return max(p + 1, 0)
+def split_h(s: SplitBundle, e: Twist) -> tuple[int, int, int]:
+    """(h0, h1, h2) of the split bundle s twisted by e: the one Kunneth formula.
 
-
-def _h11(p: int) -> int:
-    return max(-p - 1, 0)
+    A summand O(t) has a = t0 + e0 + 1 sections on the first P1 when a > 0 and
+    -a classes in H1 when a < 0, b likewise on the second, so it adds a*b to h0
+    when both are positive, a*b to h2 when both are negative, -a*b to h1 else.
+    """
+    e0, e1 = e
+    h0 = h1 = h2 = 0
+    for t0, t1 in s:
+        a, b = t0 + e0 + 1, t1 + e1 + 1
+        if a > 0 and b > 0:
+            h0 += a * b
+        elif a < 0 and b < 0:
+            h2 += a * b
+        else:
+            h1 -= a * b
+    return h0, h1, h2
 
 
 def kunneth_dim(i: int, t: Twist) -> int:
-    a, b = t
-    if i == 0:
-        return _h01(a) * _h01(b)
-    if i == 1:
-        return _h01(a) * _h11(b) + _h11(a) * _h01(b)
-    if i == 2:
-        return _h11(a) * _h11(b)
-    return 0
+    return split_h((t,), (0, 0))[i] if 0 <= i <= 2 else 0
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,8 @@ def coh_basis(i: int, t: Twist) -> CohBasis:
         if a <= -2 and b <= -2:
             monos = [(ps, a - ps, pu, b - pu) for ps in range(-1, a, -1) for pu in range(-1, b, -1)]
     basis = CohBasis(i, t, tuple(monos))
-    assert basis.dim == kunneth_dim(i, t)
+    if basis.dim != kunneth_dim(i, t):
+        raise InternalInvariantViolation(f"H{i} of O{t} has {basis.dim} monomials, not its Kunneth dimension")
     return basis
 
 
@@ -282,11 +295,11 @@ def form_vstack(blocks: list[FormMatrix]) -> FormMatrix:
 
 def split_dims(i: int, s: SplitBundle, e: Twist) -> list[int]:
     """Per-summand H^i dimensions of the bundle twisted by e."""
-    return [kunneth_dim(i, deg_add(t, e)) for t in s]
+    return [split_h((t,), e)[i] for t in s] if 0 <= i <= 2 else [0] * len(s)
 
 
 def split_dim(i: int, s: SplitBundle, e: Twist) -> int:
-    return sum(split_dims(i, s, e))
+    return split_h(s, e)[i] if 0 <= i <= 2 else 0
 
 
 def induced_h(m: FormMatrix, i: int, e: Twist) -> Matrix:

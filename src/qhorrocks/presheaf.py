@@ -44,6 +44,7 @@ from .exactla import Matrix, NoSolution, QhorrocksError, hstack, quotient_data, 
 from .bipoly import BiForm, deg_add, deg_sub
 from .linecoh import (
     FormMatrix,
+    InternalInvariantViolation,
     SplitBundle,
     SurjectivityReport,
     Twist,
@@ -57,6 +58,7 @@ from .linecoh import (
     kunneth_dim,
     sheaf_surjective,
     split_dim,
+    split_h,
     spinor_shift,
 )
 
@@ -75,12 +77,6 @@ class NotSurjective(QhorrocksError, ValueError):
 
 class VerificationFailed(QhorrocksError, RuntimeError):
     """A recomputation check (table additivity, module match) failed."""
-
-    exit_code = 1
-
-
-class InternalInvariantViolation(QhorrocksError, RuntimeError):
-    """A step the theory guarantees to succeed did not; indicates invalid input."""
 
     exit_code = 1
 
@@ -187,24 +183,24 @@ class KerPresentation:
         return self._cache[key]
 
     def h1_dim(self, e: Twist) -> int:
-        coker0 = split_dim(0, self.B, e) - self._h0_rank(e)
-        if split_dim(1, self.A, e) == 0:
-            return coker0
-        m1 = self.h_matrix(1, e)
-        return coker0 + (m1.cols - m1.rank())
+        a1 = split_dim(1, self.A, e)
+        return (split_dim(0, self.B, e) - self._h0_rank(e)) + (a1 - self.h_matrix(1, e).rank() if a1 else 0)
 
     # -- H2 -------------------------------------------------------------
     def h2_dim(self, e: Twist) -> int:
         # H3 vanishes on a surface, so H2 of an onto g is onto
-        rank2 = split_dim(2, self.B, e) if self.onto.surjective else self.h_matrix(2, e).rank()
-        ker2 = split_dim(2, self.A, e) - rank2
-        if split_dim(1, self.B, e) == 0:
-            return ker2
-        m1 = self.h_matrix(1, e)
-        return ker2 + (m1.rows - m1.rank())
+        _, b1, b2 = split_h(self.B, e)
+        rank2 = b2 if self.onto.surjective else self.h_matrix(2, e).rank()
+        return (split_dim(2, self.A, e) - rank2) + (b1 - self.h_matrix(1, e).rank() if b1 else 0)
 
     def dims_at(self, e: Twist) -> tuple[int, int, int]:
-        return (self.h0_dim(e), self.h1_dim(e), self.h2_dim(e))
+        """(h0_dim(e), h1_dim(e), h2_dim(e)) from one Kunneth pass per bundle, with the same ranks."""
+        a0, a1, a2 = split_h(self.A, e)
+        b0, b1, b2 = split_h(self.B, e)
+        r0 = b0 if _h0_onto(self.onto, e) else self.h_matrix(0, e).rank()
+        r1 = self.h_matrix(1, e).rank() if a1 or b1 else 0
+        r2 = b2 if self.onto.surjective else self.h_matrix(2, e).rank()
+        return (a0 - r0, (b0 - r0) + (a1 - r1), (a2 - r2) + (b1 - r1))
 
     # -- module action on the H1 model ----------------------------------
     def mult_model(self, f: BiForm, e: Twist) -> Matrix:
@@ -284,7 +280,7 @@ def _strip_table(dims_at, lo: int, hi: int) -> dict:
 
 def line_bundle_table(t: Twist, lo: int, hi: int) -> dict:
     """The table a plain line bundle O(t) would give; for comparisons."""
-    return _strip_table(lambda e: tuple(kunneth_dim(i, deg_add(t, e)) for i in (0, 1, 2)), lo, hi)
+    return _strip_table(lambda e: split_h((t,), e), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -552,44 +548,43 @@ class MonadPresentation:
         self._cache[key] = out
         return out
 
-    def _h2_kappa(self, e: Twist) -> tuple[int, int]:
-        """h2(K(e)) and the rank of H2(K(e)) -> H2(ker psi)(e).
+    def _h2_kappa(self, e: Twist, h2k: int) -> int:
+        """The rank of H2(K(e)) -> H2(ker psi)(e), where h2k = h2(K(e)).
 
         That is the rank of H2(kappa) into H2(A(e)): psi o kappa = 0, and H1(B(e)) = 0 embeds H2(ker psi) there.
         By Serre duality H2(kappa(e)) is the transpose of H0(kappa^v(-e - (2, 2))), so it is
         injective wherever the dual certificate proves that onto.
         """
-        key = ("h2k", e)
-        if key not in self._cache:
-            h2k = split_dim(2, self.K, e)
-            if h2k and split_dim(1, self.B, e) != 0:
-                raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
-            injective = not h2k or _h0_onto(self.dual_onto, (-e[0] - 2, -e[1] - 2))
-            self._cache[key] = (h2k, h2k if injective else induced_h(self.kappa, 2, e).rank())
-        return self._cache[key]
+        if h2k and split_dim(1, self.B, e) != 0:
+            raise PrereqVanishingFailed(f"H1 of the target is nonzero at shift {e}")
+        if not h2k or _h0_onto(self.dual_onto, (-e[0] - 2, -e[1] - 2)):
+            return h2k
+        return induced_h(self.kappa, 2, e).rank()
+
+    def _h0_kappa(self, e: Twist, h0k: int) -> int:
+        """The rank of H0(kappa(e)), where h0k = h0(K(e)); H0 is left exact, so an injective kappa stays so."""
+        return h0k if self.dual_onto.surjective else induced_h(self.kappa, 0, e).rank()
 
     def h0_dim(self, e: Twist) -> int:
-        # H0 is left exact, so kappa stays injective on sections
-        r0 = split_dim(0, self.K, e) if self.dual_onto.surjective else induced_h(self.kappa, 0, e).rank()
         c1 = self.h1k_map(e)
-        return (self.fbar.h0_dim(e) - r0) + (c1.cols - c1.rank())
+        return (self.fbar.h0_dim(e) - self._h0_kappa(e, split_dim(0, self.K, e))) + (c1.cols - c1.rank())
 
     def h1_dim(self, e: Twist) -> int:
-        c1 = self.h1k_map(e)
-        h2k, r2 = self._h2_kappa(e)
-        return (self.fbar.h1_dim(e) - c1.rank()) + (h2k - r2)
+        c1, h2k = self.h1k_map(e), split_dim(2, self.K, e)
+        return (self.fbar.h1_dim(e) - c1.rank()) + (h2k - self._h2_kappa(e, h2k))
 
     def h2_dim(self, e: Twist) -> int:
-        return self.fbar.h2_dim(e) - self._h2_kappa(e)[1]
+        return self.fbar.h2_dim(e) - self._h2_kappa(e, split_dim(2, self.K, e))
 
     def dims_at(self, e: Twist) -> tuple[int, int, int]:
-        h0, h1, h2 = self.h0_dim(e), self.h1_dim(e), self.h2_dim(e)
-        chi = (
-            euler_char(tuple(deg_add(t, e) for t in self.A))
-            - euler_char(tuple(deg_add(t, e) for t in self.B))
-            - euler_char(tuple(deg_add(t, e) for t in self.K))
-        )
-        if h0 - h1 + h2 != chi:
+        """(h0_dim(e), h1_dim(e), h2_dim(e)) from one Kunneth pass over K, checked against chi."""
+        k0, k1, k2 = split_h(self.K, e)
+        r0 = self._h0_kappa(e, k0)
+        c1 = self.h1k_map(e) if k1 else Matrix.zeros(self.field, 0, 0)
+        r2 = self._h2_kappa(e, k2)
+        f0, f1, f2 = self.fbar.dims_at(e)
+        h0, h1, h2 = (f0 - r0) + (c1.cols - c1.rank()), (f1 - c1.rank()) + (k2 - r2), f2 - r2
+        if h0 - h1 + h2 != euler_char(self.A, e) - euler_char(self.B, e) - euler_char(self.K, e):
             raise InternalInvariantViolation(f"Euler characteristic mismatch at {e}")
         return (h0, h1, h2)
 

@@ -283,6 +283,25 @@ def eliminated_table(rep, lo: int, hi: int) -> dict:
     }
 
 
+def dims_by_parts(rep, e) -> tuple[int, int, int]:
+    """(h0_dim(e), h1_dim(e), h2_dim(e)), for a monad checked against chi(A) - chi(B) - chi(K) as dims_at checks it."""
+    dims = (rep.h0_dim(e), rep.h1_dim(e), rep.h2_dim(e))
+    if isinstance(rep, MonadPresentation):
+        chi = [sum((a + e[0] + 1) * (b + e[1] + 1) for a, b in s) for s in (rep.A, rep.B, rep.K)]
+        if dims[0] - dims[1] + dims[2] != chi[0] - chi[1] - chi[2]:
+            raise InternalInvariantViolation(f"Euler characteristic mismatch at {e}")
+    return dims
+
+
+def table_by_parts(rep, lo: int, hi: int) -> dict:
+    """rep.table(lo, hi) with each entry from dims_by_parts."""
+    return {
+        (kind, d): dims_by_parts(rep, e)
+        for d in range(lo, hi + 1)
+        for kind, e in (("o", (d, d)), ("s1", spinor_shift(1, d)), ("s2", spinor_shift(2, d)))
+    }
+
+
 def h2_kappa_injective_scan(monad) -> bool:
     """h2_kappa_injective's cokernel check at every degree of its range, none skipped."""
     firsts = [max(k) for k in monad.K]

@@ -1,12 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhorrocks import exactla
+from qhorrocks import exactla, linecoh
 from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField
 from qhorrocks.bipoly import BiForm, monomial_basis, parse_biform
 from qhorrocks.linecoh import (
     FormMatrix,
+    InternalInvariantViolation,
     MalformedMatrix,
     coh_action,
     coh_basis,
@@ -18,6 +24,8 @@ from qhorrocks.linecoh import (
     kunneth_dim,
     sheaf_surjective,
     split_dim,
+    split_dims,
+    split_h,
     spinor_kind,
 )
 from qhorrocks.fixtures import fixture_names, load_fixture
@@ -219,6 +227,54 @@ def test_euler_char():
     lhs = euler_char(((0, 1), (0, 1), (1, 0), (1, 0)))
     rhs = euler_char(((1, 1), (1, 1)))
     assert lhs - rhs == 0
+
+
+def test_euler_char_of_a_twist_is_that_of_the_twisted_summands():
+    s = ((0, 1), (-3, 2), (1, -4))
+    for e in ((0, 0), (2, -1), (-5, 3)):
+        assert euler_char(s, e) == euler_char(tuple((a + e[0], b + e[1]) for a, b in s))
+
+
+TWISTS = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TWISTS, max_size=6).map(tuple), TWISTS, st.integers(-1, 3))
+def test_split_h_counts_the_monomials_of_every_summand(s, e, i):
+    # coh_basis lists the monomials of H^i(O(t)); __wrapped__ skips its cache,
+    # which these twists would fill with tens of thousands of entries
+    shifted = [(a + e[0], b + e[1]) for a, b in s]
+    counts = [len(coh_basis.__wrapped__(i, t).monomials) for t in shifted]
+    assert [kunneth_dim(i, t) for t in shifted] == counts
+    assert split_dims(i, s, e) == counts
+    assert split_dim(i, s, e) == sum(counts)
+    h = split_h(s, e)
+    assert (h[i] if 0 <= i <= 2 else 0) == sum(counts)
+    assert h[0] - h[1] + h[2] == euler_char(s, e)
+    # Serre duality with the canonical bundle O(-2, -2)
+    dual = tuple((-a - 2, -b - 2) for a, b in shifted)
+    assert split_h(dual, (0, 0)) == h[::-1]
+
+
+def test_coh_basis_checks_its_monomial_count_against_kunneth(monkeypatch):
+    monkeypatch.setattr(linecoh, "kunneth_dim", lambda i, t: 7)
+    with pytest.raises(InternalInvariantViolation, match=r"^H0 of O\(1, 1\) has 4 monomials"):
+        coh_basis.__wrapped__(0, (1, 1))
+
+
+def test_coh_basis_check_survives_python_dash_o():
+    code = (
+        "from qhorrocks import linecoh\n"
+        "linecoh.kunneth_dim = lambda i, t: 7\n"
+        "try:\n"
+        "    linecoh.coh_basis.__wrapped__(0, (1, 1))\n"
+        "except linecoh.InternalInvariantViolation:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "raised\n", "")
 
 
 # ---------------------------------------------------------------------------

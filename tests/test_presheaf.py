@@ -30,6 +30,7 @@ from qhorrocks.linecoh import (
     kunneth_dim,
     spinor_shift,
     split_dim,
+    split_h,
 )
 from qhorrocks.presheaf import (
     InternalInvariantViolation,
@@ -61,6 +62,7 @@ from reference import (
     lift_lambda,
     monad_h1_h2_by_h2_model,
     summand_pairing,
+    table_by_parts,
 )
 
 F = PrimeField(DEFAULT_PRIME)
@@ -680,6 +682,107 @@ def test_unverified_monad_whose_kappa_drops_rank_eliminates_every_rank():
             assert (monad.h0_dim(e), monad.h1_dim(e), monad.h2_dim(e)) == eliminated_dims(monad, e)
     assert monad.h0_dim((1, 1)) == p.h0_dim((1, 1))
     assert not monad.h2_kappa_injective() and not h2_kappa_injective_scan(monad)
+
+
+# table_by_parts composes h0_dim, h1_dim and h2_dim per twist, each with its
+# own split sums and ranks; dims_at takes one split_h pass per bundle, and must
+# give the same tables and refusals with no more eliminations
+
+NON_SPINOR_MONAD = (
+    "field p=32003\nbundle monad\nK: (1,-2)\nA: (2,-1) (2,-1) (2,-1) (2,-1)\nB:\n"
+    "kappa:\n[x0]\n[x1]\n[x2]\n[x3]\ng:\n"
+)
+
+
+def _not_onto(rep):
+    """rep's map with a zero row onto an extra O appended, so its certificate says "not onto"."""
+    return form_vstack([rep.g, FormMatrix.zero(rep.field, rep.A, ((0, 0),))])
+
+
+def _table_input(source):
+    kind, name, field = source
+    if kind == "fixture":
+        return load_fixture(name, field)
+    if kind == "corpus":
+        return textio.parse_bundle_text((CORPUS / name).read_text())
+    if kind == "text":
+        return textio.parse_bundle_text(name)
+    if kind == "not-onto":
+        return KerPresentation(_not_onto(load_fixture(name, field)), verify=False)
+    if kind == "kappa-not-onto":
+        # kappa = 0 on K = O(-1,-1) drops rank everywhere
+        g = load_fixture(name, field).g
+        return MonadPresentation(FormMatrix.zero(field, ((-1, -1),), g.src), g, verify=False)
+    if kind == "psi-not-onto":
+        psi = _not_onto(load_fixture(name, field))
+        return MonadPresentation(FormMatrix.zero(field, ((-1, -1),), psi.src), psi, verify=False)
+    if kind == "koszul-monad":
+        a = [(0, 1), (0, 1), (0, 0)]
+        return MonadPresentation(gm([(0, 0)], a, [["0-v"], ["u"], ["0"]]), gm(a, [(0, 2)], [["u", "v", "0"]]))
+    assert kind == "line"
+    return KerPresentation(gm([(-1, 0)], [(0, 0)], [["s"]]), verify=False)
+
+
+TABLE_INPUTS = (
+    [("fixture", name, field) for field in (F, PrimeField(5), RationalField()) for name in fixture_names()]
+    + [("corpus", name, None) for name in CORPUS_MONADS]
+    + [("not-onto", name, field) for field in (F, PrimeField(5)) for name in ("lepotier", "omega1")]
+    + [("kappa-not-onto", "omega1", F), ("kappa-not-onto", "lepotier", PrimeField(5))]
+    + [("psi-not-onto", "omega1", F), ("line", "s", F), ("text", NON_SPINOR_MONAD, None), ("koszul-monad", None, F)]
+)
+
+
+def _table(rep, lo, hi):
+    return rep.table(lo, hi)
+
+
+def _table_or_refusal(table, rep, lo=-8, hi=8):
+    try:
+        return table(rep, lo, hi)
+    except (InternalInvariantViolation, PrereqVanishingFailed) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "source", TABLE_INPUTS, ids=lambda s: "-".join(str(x).split("\n")[0] for x in s if x is not None)
+)
+def test_single_pass_tables_match_the_by_parts_reference_with_no_more_eliminations(monkeypatch, source):
+    mine, ref = _table_input(source), _table_input(source)
+    calls, built = [], []
+    for name in ("_rank", "_rref"):
+        orig = getattr(exactla, name)
+        monkeypatch.setattr(exactla, name, lambda *a, _o=orig, _n=name, **kw: calls.append(_n) or _o(*a, **kw))
+    h_matrix = KerPresentation.h_matrix
+    monkeypatch.setattr(KerPresentation, "h_matrix", lambda p, i, e: built.append((p, i, e)) or h_matrix(p, i, e))
+    got = _table_or_refusal(_table, mine)
+    mine_calls, mine_built, calls[:], built[:] = list(calls), list(built), [], []
+    want = _table_or_refusal(table_by_parts, ref)
+    assert got == want
+    assert mine_calls or source[0] not in ("not-onto", "line")  # every rank eliminated, and the spy sees it
+    for name in ("_rank", "_rref"):
+        assert mine_calls.count(name) <= calls.count(name), name
+    for p, i, e in mine_built:
+        assert i != 1 or split_h(p.A, e)[1] or split_h(p.B, e)[1], e
+
+
+def test_single_pass_table_inputs_cover_refusals_and_eliminated_ranks():
+    inputs = {s[0]: _table_input(s) for s in TABLE_INPUTS[-10:]}
+    assert not inputs["not-onto"].onto.surjective and not inputs["line"].onto.surjective
+    assert all(isinstance(inputs[kind].table(-8, 8), dict) for kind in ("not-onto", "line"))
+    # a monad is checked against chi, which a kappa or psi that is not onto breaks
+    assert not inputs["kappa-not-onto"].dual_onto.surjective and inputs["kappa-not-onto"].fbar.onto.surjective
+    assert not inputs["psi-not-onto"].fbar.onto.surjective
+    for kind in ("kappa-not-onto", "psi-not-onto"):
+        assert _table_or_refusal(_table, inputs[kind])[1].startswith("Euler characteristic mismatch at ")
+    assert _table_or_refusal(_table, inputs["koszul-monad"]) == (
+        PrereqVanishingFailed,
+        "H1 of the target is nonzero at shift (-3, -2)",
+    )
+    assert _table_or_refusal(_table, inputs["text"], 0, 0) == (
+        InternalInvariantViolation,
+        "unsupported shift (0, 0) for summand (1, -2)",
+    )
+    assert _table_or_refusal(table_by_parts, inputs["text"], 0, 0) == _table_or_refusal(_table, inputs["text"], 0, 0)
 
 
 @pytest.mark.parametrize("name", CORPUS_MONADS_WITH_K)

@@ -405,6 +405,19 @@ def test_cli_t11_wide_table_matches_its_golden(capsys):
     assert out == (root / "tests/data/t11-16.cohomology").read_text()
 
 
+@pytest.mark.parametrize(
+    "source, golden",
+    [("example:lepotier", "lepotier-200.cohomology"), ("perfbench/corpus/roundtrip/t08.monad", "t08-200.cohomology")],
+)
+def test_cli_200_wide_tables_match_their_goldens(capsys, source, golden):
+    # dimensions reach 10^5 here, so a sign or bound slip in split_h shows
+    root = Path(__file__).resolve().parents[1]
+    path = source if source.startswith("example:") else str(root / source)
+    code, out, err = run_cli(capsys, "cohomology", path, "--window=-200..200")
+    assert (code, err) == (0, "")
+    assert out == (root / "tests/data" / golden).read_text()
+
+
 def test_cli_field_switch(capsys):
     code, out, err = run_cli(capsys, "invariants", "example:o-20", "--field", "rationals")
     assert code == 0
