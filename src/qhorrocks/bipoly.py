@@ -123,8 +123,9 @@ class BiForm:
 
     @staticmethod
     def from_vector(field, deg: BiDegree, vec) -> "BiForm":
-        basis = monomial_basis(deg)
-        return BiForm.make(field, deg, {basis[k]: vec[k] for k in range(len(basis)) if vec[k] != 0})
+        """The form with coefficients vec in monomial_basis(deg) order; the inverse of coefficient_vector."""
+        terms = ((m, field.scalar(c)) for m, c in zip(monomial_basis(deg), vec) if c != 0)
+        return BiForm(field, deg, tuple((m, c) for m, c in terms if c != 0))
 
     def evaluate(self, s, t, u, v):
         """Value at scalar coordinates; the zero form of any bidegree gives 0.

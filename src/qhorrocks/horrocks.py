@@ -476,8 +476,8 @@ def _subspace_constrained_basis(t1, t2, basis, layout):
             for d in sorted(sub1):
                 if sub1[d].cols == 0:
                     continue
-                if d not in fam2 or d not in fam1:
-                    return []
+                if d not in fam2:
+                    continue  # the image lies in a zero piece of t2's companion module
                 induced = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
                 image = induced @ sub1[d]
                 b2 = sub2.get(d)

@@ -4,18 +4,28 @@ On P1 with coordinates s, t the cohomology of O(p) has a canonical monomial
 model: H0 is spanned by s^i t^j with i, j >= 0 and i + j = p, while H1 is
 spanned by the "negative cone" monomials with i, j <= -1 and i + j = p.
 Multiplication by a form adds exponents and truncates anything that leaves
-the cone; `coh_action` is the one place that multiplies monomials, and a
-product of form matrices (`FormMatrix.compose`) is its action on section
-vectors.  Tensoring two copies gives every H^i of O(a, b) on P1 x P1 an
+the cone.  Tensoring two copies gives every H^i of O(a, b) on P1 x P1 an
 explicit finite monomial basis:
 
     H0: all four exponents >= 0
     H1: s,t exponents >= 0 and u,v exponents <= -1, or the mirror image
     H2: all four exponents <= -1
 
-Every dimension comes from `split_h`, the one Kunneth formula, so a table
-costs that arithmetic plus the ranks no surjectivity certificate forces, all
-of matrices of this action; no Cech complex appears anywhere in the package.
+Every dimension comes from `split_h`, the one Kunneth formula, and every
+layout from `split_offsets`: the blocks of H^i(s(e)) follow the summands of
+s in order, monomials in `coh_basis` order.  A `FormMatrix` stores each
+column as its section vector in that layout of H0, so building one from
+sections and reading a column back are plain storage and a plain read.
+
+`_mult_index` is the one place that multiplies monomials.  It is cached by
+(i, bidegree, source twist), never by coefficients, so its size is bounded
+by the twists a run visits, and it holds (row, col, monomial) triplets: a
+form with coefficient vector c acts on H^i(O(t)) by out[row, col] =
+c[monomial], one fancy assignment with no sums, over F_p and Q alike.
+`coh_action`, `induced_h`, `h0_mult_on_split` and, through `induced_h`,
+`FormMatrix.compose` all go through it.  A table costs the Kunneth
+arithmetic plus the ranks no surjectivity certificate forces; no Cech
+complex appears anywhere in the package.
 
 A twist (a, b) denotes the line bundle O(a, b).  The two spinor line bundles
 are O(1, 0) and O(0, 1); O(d) means O(d, d).  The ACM twists, those with no
@@ -24,13 +34,15 @@ intermediate cohomology in any diagonal twist, are exactly |a - b| <= 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .exactla import Matrix, QhorrocksError
-from .bipoly import BiForm, deg_add, deg_sub
+from .bipoly import BiDegree, BiForm, deg_add, deg_sub, monomial_basis, monomial_index
 
 Twist = tuple[int, int]
 SplitBundle = tuple[Twist, ...]
@@ -103,6 +115,25 @@ def kunneth_dim(i: int, t: Twist) -> int:
     return split_h((t,), (0, 0))[i] if 0 <= i <= 2 else 0
 
 
+def split_dims(i: int, s: SplitBundle, e: Twist) -> list[int]:
+    """Per-summand H^i dimensions of the bundle twisted by e."""
+    return [split_h((t,), e)[i] for t in s] if 0 <= i <= 2 else [0] * len(s)
+
+
+def split_dim(i: int, s: SplitBundle, e: Twist) -> int:
+    return split_h(s, e)[i] if 0 <= i <= 2 else 0
+
+
+def split_offsets(i: int, s: SplitBundle, e: Twist) -> list[int]:
+    """Where each summand's block starts in H^i(s(e)), monomials in coh_basis order; the last entry is the total.
+
+    Every layout in the package is one of these: induced_h lays out H^i this
+    way, and a section vector of H0(dst(-t)), a column of a FormMatrix with
+    source twist t, is laid out by split_offsets(0, dst, -t).
+    """
+    return list(accumulate(split_dims(i, s, e), initial=0))
+
+
 @dataclass(frozen=True)
 class CohBasis:
     """Ordered monomial basis of H^i(O(twist)); monomials are (ps, pt, pu, pv)."""
@@ -139,25 +170,34 @@ def coh_basis(i: int, t: Twist) -> CohBasis:
 
 
 @lru_cache(maxsize=None)
-def _coh_index(i: int, t: Twist) -> dict[tuple[int, int, int, int], int]:
-    return {m: k for k, m in enumerate(coh_basis(i, t).monomials)}
+def _mult_index(i: int, deg: BiDegree, t: Twist) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cup product of a form of bidegree deg on H^i(O(t)), as (rows, cols, monomials).
+
+    Source monomial cols[n] times monomial monomials[n] of monomial_basis(deg)
+    is target monomial rows[n] of H^i(O(t + deg)); products that leave the
+    cone drop out.  For a fixed source monomial each form monomial hits a
+    different target, so a form with coefficient vector c acts by the matrix
+    with out[rows, cols] = c[monomials], with no sums.  The cache is keyed by
+    shape, never by coefficients, so it is bounded by the twists a run visits.
+    """
+    dst = {m: k for k, m in enumerate(coh_basis(i, deg_add(t, deg)).monomials)}
+    fa, fb = deg
+    hits = [
+        (k, col, n)
+        for col, (ps, pt, pu, pv) in enumerate(coh_basis(i, t).monomials)
+        for n, (fi, fj) in enumerate(monomial_basis(deg))
+        if (k := dst.get((ps + fi, pt + fa - fi, pu + fj, pv + fb - fj))) is not None
+    ]
+    index = tuple(np.array(x, dtype=np.intp) for x in (zip(*hits) if hits else ((), (), ())))
+    for x in index:
+        x.flags.writeable = False
+    return index
 
 
-@lru_cache(maxsize=None)
-def _coh_action_cached(f: BiForm, i: int, t: Twist) -> Matrix:
-    field = f.field
-    src = coh_basis(i, t)
-    dst_twist = deg_add(t, f.deg)
-    dst_idx = _coh_index(i, dst_twist)
-    (fa, fb) = f.deg
-    m = field.zeros(kunneth_dim(i, dst_twist), src.dim)
-    for col, (ps, pt, pu, pv) in enumerate(src.monomials):
-        for (fi, fj), c in f.coeffs:
-            tgt = (ps + fi, pt + fa - fi, pu + fj, pv + fb - fj)
-            k = dst_idx.get(tgt)
-            if k is not None:
-                m[k, col] = field.scalar(m[k, col] + c)
-    return Matrix(field, m)
+def _mult_into(block: np.ndarray, i: int, deg: BiDegree, t: Twist, coeffs: np.ndarray) -> None:
+    """Write the matrix of the form with coefficients coeffs on H^i(O(t)) into the zero block."""
+    rows, cols, monos = _mult_index(i, deg, t)
+    block[rows, cols] = coeffs[monos]
 
 
 def coh_action(f: BiForm, i: int, t: Twist) -> Matrix:
@@ -166,81 +206,117 @@ def coh_action(f: BiForm, i: int, t: Twist) -> Matrix:
     Monomials multiply by adding exponents; products leaving the cone drop to
     zero.  Functorial: coh_action(f*g) = coh_action(f) o coh_action(g).
     """
-    return _coh_action_cached(f, i, t)
+    out = f.field.zeros(kunneth_dim(i, deg_add(t, f.deg)), kunneth_dim(i, t))
+    _mult_into(out, i, f.deg, t, f.coefficient_vector())
+    return Matrix(f.field, out)
 
 
-@dataclass(frozen=True)
+def _neg(t: Twist) -> Twist:
+    return (-t[0], -t[1])
+
+
+def _column_offsets(src: SplitBundle, dst: SplitBundle) -> list[list[int]]:
+    """split_offsets(0, dst, -t) for each source twist t: where the slots of that column start."""
+    by_twist = {t: split_offsets(0, dst, _neg(t)) for t in set(src)}
+    return [by_twist[t] for t in src]
+
+
+def _vector(field, parts) -> np.ndarray:
+    """The parts one after another, as a new read-only reduced vector in the field's storage."""
+    out = field.reduce(np.concatenate([field.zeros(0, 1)[:, 0], *parts]))
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class FormMatrix:
     """A matrix of forms between split bundles, entry (i, j): O(src_j) -> O(dst_i).
 
-    Entry bidegrees are forced to dst_i - src_j; slots where that has a
-    negative component must hold the zero form.  Construction validates all
-    of this up front so malformed matrices fail early.
+    Column j is stored as its section vector in H0(dst(-src_j)): the
+    coefficients of entry (i, j) in monomial_basis(dst_i - src_j) order, one
+    target summand after another (split_offsets(0, dst, -src_j)).  A slot
+    whose bidegree has a negative component has no coefficients, so it holds
+    the zero form.  `make` builds a matrix from forms and checks their
+    bidegrees; `entries` reads the forms back.
     """
 
     field: object
     src: SplitBundle
     dst: SplitBundle
-    entries: tuple[tuple[BiForm, ...], ...]  # [dst index][src index]
+    sections: tuple[np.ndarray, ...]  # one per source summand
 
     def __post_init__(self):
-        if len(self.entries) != len(self.dst):
+        if len(self.sections) != len(self.src):
+            raise MalformedMatrix("column count != number of source summands")
+        for j, (vec, o) in enumerate(zip(self.sections, self._offsets)):
+            if vec.shape != (o[-1],):
+                raise MalformedMatrix(f"column {j} is not a section vector of H0(dst{_neg(self.src[j])})")
+
+    @staticmethod
+    def make(field, src: SplitBundle, dst: SplitBundle, rows) -> "FormMatrix":
+        """The matrix with entry (i, j) rows[i][j], a BiForm of bidegree dst_i - src_j or 0."""
+        src, dst, rows = tuple(src), tuple(dst), [tuple(r) for r in rows]
+        if len(rows) != len(dst):
             raise MalformedMatrix("row count != number of target summands")
-        for i, row in enumerate(self.entries):
-            if len(row) != len(self.src):
+        offs = _column_offsets(src, dst)
+        cols = [field.zeros(o[-1], 1)[:, 0] for o in offs]
+        for i, row in enumerate(rows):
+            if len(row) != len(src):
                 raise MalformedMatrix("column count != number of source summands")
             for j, f in enumerate(row):
-                want = deg_sub(self.dst[i], self.src[j])
+                want = deg_sub(dst[i], src[j])
+                if not isinstance(f, BiForm):
+                    if f != 0:
+                        raise MalformedMatrix(f"entry ({i},{j}) is not a form")
+                    continue
                 if f.deg != want:
                     raise MalformedMatrix(f"entry ({i},{j}) has bidegree {f.deg}, slot needs {want}")
                 if not f.is_zero() and (want[0] < 0 or want[1] < 0):
                     raise MalformedMatrix(f"entry ({i},{j}) must be zero for twist gap {want}")
-
-    @staticmethod
-    def make(field, src: SplitBundle, dst: SplitBundle, rows) -> "FormMatrix":
-        out = []
-        for i, row in enumerate(rows):
-            r = []
-            for j, f in enumerate(row):
-                want = deg_sub(dst[i], src[j])
-                if isinstance(f, BiForm):
-                    r.append(f)
-                elif f == 0:
-                    r.append(BiForm.zero(field, want))
-                else:
-                    raise MalformedMatrix(f"entry ({i},{j}) is not a form")
-            out.append(tuple(r))
-        return FormMatrix(field, tuple(src), tuple(dst), tuple(out))
+                index = monomial_index(want)
+                for m, c in f.coeffs:
+                    cols[j][offs[j][i] + index[m]] = c
+        for vec in cols:
+            vec.flags.writeable = False
+        return FormMatrix(field, src, dst, tuple(cols))
 
     @staticmethod
     def zero(field, src: SplitBundle, dst: SplitBundle) -> "FormMatrix":
-        rows = [[BiForm.zero(field, deg_sub(d, s)) for s in src] for d in dst]
-        return FormMatrix(field, tuple(src), tuple(dst), tuple(tuple(r) for r in rows))
+        return FormMatrix.from_sections(field, src, dst, [field.zeros(o[-1], 1)[:, 0] for o in _column_offsets(src, dst)])
 
     @staticmethod
     def from_sections(field, src: SplitBundle, dst: SplitBundle, sections) -> "FormMatrix":
-        """The matrix whose column j is the section vector sections[j] of H0(dst(-src_j)).
-
-        A section vector lists its summands' coefficients in monomial_basis
-        order, one summand after another, as induced_h lays out H0; summands
-        without sections give the zero form of their slot.
-        """
-        cols = []
-        for (a, b), vec in zip(src, sections):
-            forms, k = [], 0
-            for t in dst:
-                deg = deg_sub(t, (a, b))
-                d = kunneth_dim(0, deg)
-                forms.append(BiForm.from_vector(field, deg, vec[k : k + d]))
-                k += d
-            cols.append(forms)
-        rows = tuple(zip(*cols)) if cols else ((),) * len(dst)
-        return FormMatrix(field, tuple(src), tuple(dst), rows)
+        """The matrix whose column j is the section vector sections[j] of H0(dst(-src_j))."""
+        return FormMatrix(field, tuple(src), tuple(dst), tuple(_vector(field, [v]) for v in sections))
 
     def section(self, j: int) -> np.ndarray:
-        """Column j as a section vector of H0(dst(-src_j)); the inverse of from_sections."""
-        vecs = [row[j].coefficient_vector() for row in self.entries]
-        return np.concatenate(vecs) if vecs else self.field.zeros(0, 1)[:, 0]
+        """Column j as a section vector of H0(dst(-src_j)), read-only; the inverse of from_sections."""
+        return self.sections[j]
+
+    @cached_property
+    def _offsets(self) -> list[list[int]]:
+        return _column_offsets(self.src, self.dst)
+
+    @cached_property
+    def _nonzero_slots(self) -> list[tuple[int, int, BiDegree, np.ndarray]]:
+        """(k, j, bidegree, coefficients) of every entry (k, j) that is not the zero form."""
+        return [
+            (k, j, deg_sub(self.dst[k], self.src[j]), vec[o[k] : o[k + 1]])
+            for j, (vec, o) in enumerate(zip(self.sections, self._offsets))
+            for k in dict.fromkeys(bisect_right(o, n) - 1 for n in vec.nonzero()[0].tolist())
+        ]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[BiForm, ...], ...]:
+        """The forms, [dst index][src index], read off the section vectors once per matrix.
+
+        Only formatting, stability's determinants, summand stripping and the
+        sampled fibre check read forms; every product goes through _mult_index.
+        """
+        return tuple(
+            tuple(BiForm.from_vector(self.field, deg_sub(d, t), v[o[k] : o[k + 1]]) for t, v, o in zip(self.src, self.sections, self._offsets))
+            for k, d in enumerate(self.dst)
+        )
 
     @property
     def rows(self) -> int:
@@ -254,70 +330,58 @@ class FormMatrix:
         """self o other, defined when other.dst == self.src.
 
         Column k is induced_h(self, 0, -other.src[k]) applied to the section
-        vector of column k of other, so coh_action does every product.
+        vector of column k of other, so _mult_index does every product.
         """
         if other.dst != self.src:
             raise MalformedMatrix("composition twist mismatch")
         return _map_sections(self, other, self.dst, Matrix.__matmul__)
 
     def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.entries for f in row)
+        return not any(vec.any() for vec in self.sections)
 
     def dual(self) -> "FormMatrix":
-        """Transpose with negated twists: O(-dst) -> O(-src)."""
-        src = tuple((-a, -b) for a, b in self.dst)
-        dst = tuple((-a, -b) for a, b in self.src)
-        rows = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return FormMatrix(self.field, src, dst, rows)
+        """Transpose with negated twists: O(-dst) -> O(-src); each slot keeps its bidegree and coefficients."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "FormMatrix":
+        cols = [_vector(self.field, [v[o[k] : o[k + 1]] for v, o in zip(self.sections, self._offsets)]) for k in range(self.rows)]
+        return FormMatrix(self.field, tuple(_neg(t) for t in self.dst), tuple(_neg(t) for t in self.src), tuple(cols))
 
     def select_columns(self, idx) -> "FormMatrix":
-        src = tuple(self.src[j] for j in idx)
-        rows = tuple(tuple(self.entries[i][j] for j in idx) for i in range(self.rows))
-        return FormMatrix(self.field, src, self.dst, rows)
+        return FormMatrix(self.field, tuple(self.src[j] for j in idx), self.dst, tuple(self.sections[j] for j in idx))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FormMatrix)
+            and (self.field, self.src, self.dst) == (other.field, other.src, other.dst)
+            and all(np.array_equal(a, b) for a, b in zip(self.sections, other.sections))
+        )
 
     def __repr__(self):
         return f"FormMatrix({list(self.src)} -> {list(self.dst)})"
 
 
 def form_hstack(blocks: list[FormMatrix]) -> FormMatrix:
-    field, dst = blocks[0].field, blocks[0].dst
     src = tuple(t for b in blocks for t in b.src)
-    rows = tuple(tuple(f for b in blocks for f in b.entries[i]) for i in range(len(dst)))
-    return FormMatrix(field, src, dst, rows)
+    return FormMatrix(blocks[0].field, src, blocks[0].dst, tuple(v for b in blocks for v in b.sections))
 
 
 def form_vstack(blocks: list[FormMatrix]) -> FormMatrix:
+    """Blocks stacked on one source: each column's section vector is the blocks' ones in order."""
     field, src = blocks[0].field, blocks[0].src
     dst = tuple(t for b in blocks for t in b.dst)
-    rows = tuple(row for b in blocks for row in b.entries)
-    return FormMatrix(field, src, dst, rows)
-
-
-def split_dims(i: int, s: SplitBundle, e: Twist) -> list[int]:
-    """Per-summand H^i dimensions of the bundle twisted by e."""
-    return [split_h((t,), e)[i] for t in s] if 0 <= i <= 2 else [0] * len(s)
-
-
-def split_dim(i: int, s: SplitBundle, e: Twist) -> int:
-    return split_h(s, e)[i] if 0 <= i <= 2 else 0
+    return FormMatrix(field, src, dst, tuple(_vector(field, [b.sections[j] for b in blocks]) for j in range(len(src))))
 
 
 def induced_h(m: FormMatrix, i: int, e: Twist) -> Matrix:
     """Block matrix of H^i(src(e)) -> H^i(dst(e)) induced by a form matrix."""
-    field = m.field
-    rd = split_dims(i, m.dst, e)
-    cd = split_dims(i, m.src, e)
-    out = field.zeros(sum(rd), sum(cd))
-    r0 = 0
-    for bi in range(m.rows):
-        c0 = 0
-        for bj in range(m.cols):
-            if rd[bi] and cd[bj]:
-                block = coh_action(m.entries[bi][bj], i, deg_add(m.src[bj], e))
-                out[r0 : r0 + rd[bi], c0 : c0 + cd[bj]] = block.a
-            c0 += cd[bj]
-        r0 += rd[bi]
-    return Matrix(field, out)
+    rows, cols = split_offsets(i, m.dst, e), split_offsets(i, m.src, e)
+    out = m.field.zeros(rows[-1], cols[-1])
+    for k, j, deg, coeffs in m._nonzero_slots:
+        if rows[k] < rows[k + 1] and cols[j] < cols[j + 1]:
+            _mult_into(out[rows[k] : rows[k + 1], cols[j] : cols[j + 1]], i, deg, deg_add(m.src[j], e), coeffs)
+    return Matrix(m.field, out)
 
 
 def _map_sections(m: FormMatrix, x: FormMatrix, dst: SplitBundle, op) -> FormMatrix:
@@ -330,7 +394,7 @@ def _map_sections(m: FormMatrix, x: FormMatrix, dst: SplitBundle, op) -> FormMat
     for t in dict.fromkeys(x.src):
         idx = [k for k, s in enumerate(x.src) if s == t]
         sections = Matrix.from_columns(x.field, [x.section(k) for k in idx])
-        for k, col in zip(idx, op(induced_h(m, 0, (-t[0], -t[1])), sections).columns()):
+        for k, col in zip(idx, op(induced_h(m, 0, _neg(t)), sections).columns()):
             cols[k] = col
     return FormMatrix.from_sections(x.field, x.src, dst, cols)
 
@@ -343,28 +407,21 @@ def constant_pairing(s: SplitBundle, t: Twist, sections: Matrix, cosections: Mat
     exactly t, where each side is one constant coordinate, so the pairing is
     S^T C restricted to those coordinates.
     """
-    dims = split_dims(0, s, (-t[0], -t[1]))
-    codims = split_dims(0, tuple((-a, -b) for a, b in s), t)
+    offs, cooffs = split_offsets(0, s, _neg(t)), split_offsets(0, tuple(_neg(a) for a in s), t)
     at = [k for k, a in enumerate(s) if a == t]
-    rows = sections.a[[sum(dims[:k]) for k in at]]
-    cols = cosections.a[[sum(codims[:k]) for k in at]]
+    rows = sections.a[[offs[k] for k in at]]
+    cols = cosections.a[[cooffs[k] for k in at]]
     return Matrix(sections.field, sections.field.matmul(rows.T, cols))
 
 
 def h0_mult_on_split(s: SplitBundle, f: BiForm, e: Twist) -> Matrix:
     """Multiplication by f on H0 of a shifted split bundle, summand by summand."""
-    field = f.field
-    rd = [kunneth_dim(0, deg_add(deg_add(t, e), f.deg)) for t in s]
-    cd = split_dims(0, s, e)
-    out = field.zeros(sum(rd), sum(cd))
-    r0 = c0 = 0
+    rows, cols = split_offsets(0, s, deg_add(e, f.deg)), split_offsets(0, s, e)
+    out, coeffs = f.field.zeros(rows[-1], cols[-1]), f.coefficient_vector()
     for k, t in enumerate(s):
-        if rd[k] and cd[k]:
-            block = coh_action(f, 0, deg_add(t, e))
-            out[r0 : r0 + rd[k], c0 : c0 + cd[k]] = block.a
-        r0 += rd[k]
-        c0 += cd[k]
-    return Matrix(field, out)
+        if rows[k] < rows[k + 1] and cols[k] < cols[k + 1]:
+            _mult_into(out[rows[k] : rows[k + 1], cols[k] : cols[k + 1]], 0, f.deg, deg_add(t, e), coeffs)
+    return Matrix(f.field, out)
 
 
 @dataclass

@@ -565,13 +565,16 @@ class MonadPresentation:
         """The rank of H0(kappa(e)), where h0k = h0(K(e)); H0 is left exact, so an injective kappa stays so."""
         return h0k if self.dual_onto.surjective else induced_h(self.kappa, 0, e).rank()
 
+    # h0_dim, h1_dim and dims_at read only the rank and column count of h1k_map(e), both 0 where h1(K(e)) = 0
     def h0_dim(self, e: Twist) -> int:
-        c1 = self.h1k_map(e)
-        return (self.fbar.h0_dim(e) - self._h0_kappa(e, split_dim(0, self.K, e))) + (c1.cols - c1.rank())
+        k0, k1, _ = split_h(self.K, e)
+        c1 = self.h1k_map(e) if k1 else Matrix.zeros(self.field, 0, 0)
+        return (self.fbar.h0_dim(e) - self._h0_kappa(e, k0)) + (c1.cols - c1.rank())
 
     def h1_dim(self, e: Twist) -> int:
-        c1, h2k = self.h1k_map(e), split_dim(2, self.K, e)
-        return (self.fbar.h1_dim(e) - c1.rank()) + (h2k - self._h2_kappa(e, h2k))
+        _, k1, h2k = split_h(self.K, e)
+        r1 = self.h1k_map(e).rank() if k1 else 0
+        return (self.fbar.h1_dim(e) - r1) + (h2k - self._h2_kappa(e, h2k))
 
     def h2_dim(self, e: Twist) -> int:
         return self.fbar.h2_dim(e) - self._h2_kappa(e, split_dim(2, self.K, e))

@@ -140,25 +140,15 @@ def _binary_report(f: BiForm, pair: str) -> BinaryFormReport:
     if f.is_zero():
         return BinaryFormReport(f, pair, True, True, [], 0)
     a, b = f.deg
-    deg = a if pair == "st" else b
     if (pair == "st" and b != 0) or (pair == "uv" and a != 0):
         raise ShapeMismatch(f"form {f} is not a binary form in {pair}")
-    coeffs = _binary_coeffs(f, pair, deg)
+    # monomial_basis lists x^deg first, so the reversed coefficient vector has c[k] at x^k y^(deg-k)
+    coeffs = [field.scalar(c) for c in f.coefficient_vector()[::-1]]
     roots, rest = _binary_roots(field, coeffs)
     repeated = any(m > 1 for _, m in roots)
     if not repeated and len(rest) > 2:
         repeated = _has_repeated_factor(field, rest)
     return BinaryFormReport(f, pair, False, repeated, roots, len(rest) - 1)
-
-
-def _binary_coeffs(f: BiForm, pair: str, deg: int) -> list:
-    """Coefficients c[k] of x^k y^(deg-k) for the active pair."""
-    field = f.field
-    out = [field.scalar(0)] * (deg + 1)
-    for (i, j), c in f.coeffs:
-        k = i if pair == "st" else j
-        out[k] = c
-    return out
 
 
 def _binary_roots(field, coeffs):

@@ -187,7 +187,7 @@ def _rows_from_lines(field, lines, src, dst) -> FormMatrix:
         rows.append(tuple(row))
     if any(line.strip() for line in lines):
         raise ParseError(f"more matrix rows than the {len(dst)} twists of the target")
-    return FormMatrix(field, tuple(src), tuple(dst), tuple(rows))
+    return FormMatrix.make(field, src, dst, rows)
 
 
 def format_bundle_text(rep) -> str:

@@ -2,8 +2,10 @@
 
 Forms are multiplied and added here on their coefficient dicts, term by
 term, with no use of the library's multiplication kernel
-(`linecoh.coh_action`), so a product computed by the library can be
-compared with one computed independently.
+(`linecoh._mult_index`), so a product computed by the library can be
+compared with one computed independently.  `coh_action_by_terms` and the
+block loops built on it are the kernel as it was before form matrices were
+stored as section vectors: one dense block per entry form.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import numpy as np
 
 from qhorrocks.bipoly import BiForm, deg_add
 from qhorrocks.exactla import Matrix, NoSolution
-from qhorrocks.linecoh import FormMatrix, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
+from qhorrocks.linecoh import FormMatrix, coh_basis, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
 from qhorrocks.presheaf import (
     InternalInvariantViolation,
     KerPresentation,
@@ -59,7 +61,7 @@ def form_compose(m: FormMatrix, n: FormMatrix) -> FormMatrix:
                 acc = form_add(acc, form_mul(m.entries[i][j], n.entries[j][k]))
             row.append(acc)
         rows.append(tuple(row))
-    return FormMatrix(m.field, n.src, m.dst, tuple(rows))
+    return FormMatrix.make(m.field, n.src, m.dst, tuple(rows))
 
 
 def leibniz_det(g: FormMatrix, cols) -> BiForm:
@@ -73,6 +75,43 @@ def leibniz_det(g: FormMatrix, cols) -> BiForm:
             term = form_mul(term, g.entries[i][cols[perm[i]]])
         total = term if total is None else form_add(total, term)
     return total
+
+
+def coh_action_by_terms(f: BiForm, i: int, t) -> Matrix:
+    """Cup product with f on H^i(O(t)), term by term: each product of monomials is looked up and added."""
+    field, (fa, fb) = f.field, f.deg
+    src, dst = coh_basis(i, t), coh_basis(i, deg_add(t, f.deg))
+    index = {m: k for k, m in enumerate(dst.monomials)}
+    out = field.zeros(dst.dim, src.dim)
+    for col, (ps, pt, pu, pv) in enumerate(src.monomials):
+        for (fi, fj), c in f.coeffs:
+            k = index.get((ps + fi, pt + fa - fi, pu + fj, pv + fb - fj))
+            if k is not None:
+                out[k, col] = field.scalar(out[k, col] + c)
+    return Matrix(field, out)
+
+
+def induced_h_by_blocks(m: FormMatrix, i: int, e) -> Matrix:
+    """induced_h assembled from one coh_action_by_terms block per entry form."""
+    rd, cd = [kunneth_dim(i, deg_add(t, e)) for t in m.dst], [kunneth_dim(i, deg_add(t, e)) for t in m.src]
+    out = m.field.zeros(sum(rd), sum(cd))
+    for bi in range(m.rows):
+        for bj in range(m.cols):
+            if rd[bi] and cd[bj]:
+                block = coh_action_by_terms(m.entries[bi][bj], i, deg_add(m.src[bj], e))
+                out[sum(rd[:bi]) : sum(rd[: bi + 1]), sum(cd[:bj]) : sum(cd[: bj + 1])] = block.a
+    return Matrix(m.field, out)
+
+
+def h0_mult_on_split_by_blocks(s, f: BiForm, e) -> Matrix:
+    """h0_mult_on_split with one coh_action_by_terms block per summand."""
+    rd = [kunneth_dim(0, deg_add(deg_add(t, e), f.deg)) for t in s]
+    cd = [kunneth_dim(0, deg_add(t, e)) for t in s]
+    out = f.field.zeros(sum(rd), sum(cd))
+    for k, t in enumerate(s):
+        if rd[k] and cd[k]:
+            out[sum(rd[:k]) : sum(rd[: k + 1]), sum(cd[:k]) : sum(cd[: k + 1])] = coh_action_by_terms(f, 0, deg_add(t, e)).a
+    return Matrix(f.field, out)
 
 
 def identity_form_matrix(field, s) -> FormMatrix:
@@ -185,16 +224,16 @@ def _koszul_data(field, kind: int, q: int):
         mv = BiForm.make(field, (0, 1), {(0, 0): -1})
         pu = BiForm.make(field, (0, 1), {(0, 1): 1})
         pv = BiForm.make(field, (0, 1), {(0, 0): 1})
-        inc = FormMatrix(field, (left,), two, ((mv,), (pu,)))
-        proj = FormMatrix(field, two, (right,), ((pu, pv),))
+        inc = FormMatrix.make(field, (left,), two, ((mv,), (pu,)))
+        proj = FormMatrix.make(field, two, (right,), ((pu, pv),))
     else:
         left = (q - 1, q)
         right = (q + 1, q)
         mt = BiForm.make(field, (1, 0), {(0, 0): -1})
         ps = BiForm.make(field, (1, 0), {(1, 0): 1})
         pt = BiForm.make(field, (1, 0), {(0, 0): 1})
-        inc = FormMatrix(field, (left,), two, ((mt,), (ps,)))
-        proj = FormMatrix(field, two, (right,), ((ps, pt),))
+        inc = FormMatrix.make(field, (left,), two, ((mt,), (ps,)))
+        proj = FormMatrix.make(field, two, (right,), ((ps, pt),))
     return left, right, inc, proj
 
 

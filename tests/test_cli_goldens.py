@@ -1,0 +1,106 @@
+"""CLI output against goldens checked in under tests/data, outside the default field.
+
+`invariants` and `stability` run on the nine fixtures, and `strip-acm` on two
+padded copies of each, over F_7 and over Q; `synthesize --seed 1` runs on
+five corpus triples.  Each call is recorded with its exit code, stdout and
+stderr, so any change in output, message or exit code shows in the diff.
+Regenerate a golden with
+
+    PYTHONPATH=src:tests python -c "import test_cli_goldens as g; g.write_goldens()"
+
+only when an output change is intended, and say so in the change log.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from qhorrocks import fixtures
+from qhorrocks.bipoly import BiForm, format_biform, parse_biform
+from qhorrocks.exactla import get_field
+from qhorrocks.qcli import main
+from reference import form_add, form_mul
+
+DATA = Path(__file__).resolve().parent / "data"
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"
+FIELDS = {"7": "cli-f7.golden", "rationals": "cli-q.golden"}
+TRIPLES = ("t00", "t05", "t10", "t15", "t20")
+
+
+def cli_record(label: str, argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"### {label}\nexit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def padded_text(spec: str, name: str, mixed: bool) -> str:
+    """The fixture's bundle file with one more column O(l), l the least twist of A in each coordinate.
+
+    The zero pad adds the zero column.  The mixed pad adds the sum over the
+    columns j of s^a u^b times column j, (a, b) = A_j - l, multiplied out on
+    coefficient dicts, so ker g gains O(l) as a summand that is not visible
+    column by column.
+    """
+    field = get_field(spec)
+    src, dst, rows_text = fixtures._FIXTURES[name]
+    rows = [[parse_biform(field, cell, (d[0] - a[0], d[1] - a[1])) for cell, a in zip(row, src)] for row, d in zip(rows_text, dst)]
+    l = (min(a for a, _ in src), min(b for _, b in src))
+    for row, d in zip(rows, dst):
+        extra = BiForm.zero(field, (d[0] - l[0], d[1] - l[1]))
+        if mixed:
+            for f, (a, b) in zip(row, src):
+                extra = form_add(extra, form_mul(BiForm.make(field, (a - l[0], b - l[1]), {(a - l[0], b - l[1]): 1}), f))
+        row.append(extra)
+    twists = lambda ts: " ".join(f"({a},{b})" for a, b in ts)
+    lines = [f"field {field.name}", "bundle gamma", f"A: {twists([*src, l])}", f"B: {twists(dst)}", "g:"]
+    lines += ["[" + ", ".join(format_biform(f) for f in row) + "]" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def field_golden(spec: str, workdir: Path) -> str:
+    out = []
+    for name in fixtures.fixture_names():
+        for command in ("invariants", "stability"):
+            out.append(cli_record(f"{command} example:{name} --field {spec}", [command, f"example:{name}", "--field", spec]))
+        for pad in ("zero", "mixed"):
+            path = workdir / f"{name}-{pad}-pad.bundle"
+            path.write_text(padded_text(spec, name, pad == "mixed"))
+            out.append(cli_record(f"strip-acm {path.name}", ["strip-acm", str(path)]))
+    return "".join(out)
+
+
+def synthesize_golden() -> str:
+    return "".join(
+        cli_record(f"synthesize {name}.triple --seed 1", ["synthesize", str(CORPUS / f"{name}.triple"), "--seed", "1"])
+        for name in TRIPLES
+    )
+
+
+def write_goldens() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, name in FIELDS.items():
+            (DATA / name).write_text(field_golden(spec, Path(tmp)))
+    (DATA / "synthesize-seed1.golden").write_text(synthesize_golden())
+
+
+@pytest.mark.parametrize("spec", sorted(FIELDS))
+def test_fixture_commands_match_their_golden(spec, tmp_path):
+    assert field_golden(spec, tmp_path) == (DATA / FIELDS[spec]).read_text()
+
+
+def test_synthesize_matches_its_golden():
+    assert synthesize_golden() == (DATA / "synthesize-seed1.golden").read_text()
+
+
+def test_the_goldens_record_every_call_and_one_removal_per_padded_copy():
+    for name in FIELDS.values():
+        records = (DATA / name).read_text().split("### ")[1:]
+        assert len(records) == 9 * 4
+        strips = [r for r in records if r.startswith("strip-acm ")]
+        assert len(strips) == 18 and all("exit 0\n" in r and r.count("# removed O(") == 1 for r in strips)
+        assert any(r.startswith("stability ") and "exit 0\n" in r for r in records)

@@ -343,3 +343,91 @@ ROUNDTRIP_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" 
 @pytest.mark.parametrize("name", sorted(f.name for f in ROUNDTRIP_CORPUS.glob("*.monad")))
 def test_the_comparison_lifts_over_ker_psi_on_corpus_monads(name):
     _assert_the_comparison_lifts(textio.parse_bundle_text((ROUNDTRIP_CORPUS / name).read_text()))
+
+
+# ---------------------------------------------------------------------------
+# Hom(t1, t2) against every module map, over F_2
+
+
+def enumerated_hom(t1, t2):
+    """Every module map M1 -> M2 over F_2 carrying W1 into W2 and V1 into V2, as layout vectors.
+
+    A piece of t1's companion module with no counterpart in t2 maps to zero,
+    so a subspace there constrains nothing.
+    """
+    from itertools import product
+
+    from qhorrocks.flmod import _commuting_space, _vec_to_maps
+    from qhorrocks.horrocks import _phi0_from_maps, _side
+    from qhorrocks.linecoh import induced_h, spinor_shift
+
+    fld, m1, m2 = t1.module.field, t1.module, t2.module
+    _, layout = _commuting_space(m1, m2)
+    total = sum(n2 * n1 for _, n2, n1 in layout.values())
+    found = set()
+    for bits in product((0, 1), repeat=total):
+        vec = fld.array(list(bits))
+        maps = _vec_to_maps(fld, vec, layout)
+        zero = lambda r, c: Matrix.zeros(fld, r, c)
+        if any(
+            not (maps.get(d + 1, zero(m2.dim(d + 1), m1.dim(d + 1))) @ m1.op(k, d)
+                 - m2.op(k, d) @ maps[d]).is_zero()
+            for d in m1.support()
+            for k in range(4)
+            if m1.dim(d + 1) or m2.dim(d + 1)
+        ):
+            continue
+        phi0 = _phi0_from_maps(t1, t2, maps)
+        ok = True
+        for side in (1, 2):
+            (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
+            for d, basis in sub1.items():
+                if not basis.cols or d not in fam2:
+                    continue
+                image = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ (fam1[d].reps @ basis))
+                target = sub2.get(d, Matrix.zeros(fld, fam2[d].dim, 0))
+                both = Matrix(fld, np.concatenate([target.a, image.a], axis=1))
+                ok = ok and both.rank() == target.rank()
+        if ok:
+            found.add(tuple(int(x) for x in bits))
+    return found
+
+
+def span_over_f2(vectors, n):
+    from itertools import product
+
+    out = set()
+    for coeffs in product((0, 1), repeat=len(vectors)):
+        acc = np.zeros(n, dtype=np.int64)
+        for c, v in zip(coeffs, vectors):
+            acc = (acc + c * np.asarray(v, dtype=np.int64)) % 2
+        out.add(tuple(int(x) for x in acc))
+    return out
+
+
+def test_constrained_basis_ignores_w_where_the_target_has_no_companion_piece():
+    # M1 = k in degree 0 has companion pieces of dimension 2 at degree 0 on
+    # both sides; M2 (x1, x2 nonzero from degree -1 to 0) has them only at
+    # degree -1.  So W1 at degree 0 maps into a zero piece and constrains
+    # nothing: Hom(t1, t2) is the whole one-dimensional space of module maps.
+    from qhorrocks.flmod import _commuting_space
+    from qhorrocks.horrocks import _subspace_constrained_basis
+
+    F2 = PrimeField(2)
+    one, zero = Matrix.make(F2, [[1]]), Matrix.make(F2, [[0]])
+    m1 = FinLengthModule(F2, {0: 1}, {})
+    m2 = FinLengthModule(F2, {-1: 1, 0: 1}, {(0, -1): zero, (1, -1): one, (2, -1): one, (3, -1): zero})
+    t1 = HorrocksTriple.build(m1, {0: [[1, 0]]}, {0: [[0, 1]]})
+    t2 = HorrocksTriple.build(m2, {}, {})
+    assert 0 in t1.T.m10 and 0 in t1.T.m01 and 0 not in t2.T.m10 and 0 not in t2.T.m01
+    basis, layout = _commuting_space(m1, m2)
+    got = _subspace_constrained_basis(t1, t2, basis, layout)
+    n = sum(n2 * n1 for _, n2, n1 in layout.values())
+    want = enumerated_hom(t1, t2)
+    assert len(want) == 2
+    assert span_over_f2(got, n) == want
+    # the reverse direction and the endomorphisms go through the other branches
+    for a, b in ((t2, t1), (t1, t1), (t2, t2)):
+        basis, layout = _commuting_space(a.module, b.module)
+        n = sum(n2 * n1 for _, n2, n1 in layout.values())
+        assert span_over_f2(_subspace_constrained_basis(a, b, basis, layout), n) == enumerated_hom(a, b)

@@ -18,7 +18,9 @@ from qhorrocks.linecoh import (
     coh_basis,
     constant_pairing,
     euler_char,
+    form_hstack,
     form_vstack,
+    h0_mult_on_split,
     induced_h,
     is_acm_twist,
     kunneth_dim,
@@ -29,7 +31,17 @@ from qhorrocks.linecoh import (
     spinor_kind,
 )
 from qhorrocks.fixtures import fixture_names, load_fixture
-from reference import form_add, form_compose, form_mul, form_scale, identity_form_matrix, twisted
+from reference import (
+    coh_action_by_terms,
+    form_add,
+    form_compose,
+    form_mul,
+    form_scale,
+    h0_mult_on_split_by_blocks,
+    identity_form_matrix,
+    induced_h_by_blocks,
+    twisted,
+)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -388,6 +400,74 @@ def test_compose_edge_shapes(field, src, mid, dst):
         assert got.is_zero()
 
 
+# the section-vector storage and the multiplication index, against the per-form block loop of
+# tests/reference.py, over F_2, F_5, F_32003 and Q
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_storage_and_index_match_the_per_form_blocks(data):
+    field = data.draw(PRODUCT_FIELDS)
+    src, dst = with_repeats(data, data.draw(BUNDLES)), data.draw(BUNDLES)
+    m = draw_form_matrix(data, field, src, dst, zero_slots=True)
+    e, t = data.draw(TWISTS), data.draw(st.tuples(st.integers(-4, 3), st.integers(-4, 3)))
+    for i in (0, 1, 2):
+        assert induced_h(m, i, e) == induced_h_by_blocks(m, i, e), i
+        for f in (f for row in m.entries for f in row):
+            assert coh_action(f, i, t) == coh_action_by_terms(f, i, t), (f.deg, i, t)
+            assert h0_mult_on_split(dst, f, e) == h0_mult_on_split_by_blocks(dst, f, e)
+    # from_sections, section and entries
+    again = FormMatrix.from_sections(field, src, dst, [m.section(j) for j in range(m.cols)])
+    assert again == m and again.entries == m.entries
+    for j in range(m.cols):
+        col = [f.coefficient_vector() for f in (row[j] for row in m.entries)]
+        assert m.section(j).tolist() == (np.concatenate(col).tolist() if col else [])
+    # dual, select_columns and the two stacks act on the forms as on a matrix
+    d = m.dual()
+    assert (d.src, d.dst) == (tuple(neg(x) for x in dst), tuple(neg(x) for x in src))
+    assert d.entries == tuple(tuple(row[j] for row in m.entries) for j in range(m.cols))
+    assert d.dual() == m
+    idx = data.draw(st.lists(st.integers(0, max(m.cols - 1, 0)), max_size=3)) if m.cols else []
+    picked = m.select_columns(idx)
+    assert picked.src == tuple(src[j] for j in idx)
+    assert picked.entries == tuple(tuple(row[j] for j in idx) for row in m.entries)
+    other = draw_form_matrix(data, field, data.draw(BUNDLES), dst, zero_slots=True)
+    wide = form_hstack([m, other])
+    assert wide.entries == tuple(a + b for a, b in zip(m.entries, other.entries))
+    below = draw_form_matrix(data, field, src, data.draw(BUNDLES), zero_slots=True)
+    tall = form_vstack([m, below])
+    assert (tall.dst, tall.entries) == (dst + below.dst, m.entries + below.entries)
+    for j in range(m.cols):
+        assert tall.section(j).tolist() == m.section(j).tolist() + below.section(j).tolist()
+    # compose, through induced_h, against the coefficient-dict product
+    n = draw_form_matrix(data, field, data.draw(BUNDLES), src, zero_slots=True)
+    assert m.compose(n).entries == form_compose(m, n).entries
+
+
+def test_the_multiplication_index_does_not_grow_with_new_coefficients():
+    # the cache is keyed by (i, bidegree, source twist): new coefficients in
+    # the same shapes reuse its entries, where a form-keyed cache gained one
+    # entry per new form
+    rng = np.random.default_rng(5)
+    src, dst = ((-1, 0), (-1, -1), (0, -1)), ((0, 0), (1, 1))
+
+    def fresh():
+        sections = [rng.integers(0, F.p, split_dim(0, dst, neg(t))) for t in src]
+        return FormMatrix.from_sections(F, src, dst, sections)
+
+    def use(m):
+        for i, e in ((0, (1, 1)), (1, (2, -3)), (2, (-3, -3))):
+            induced_h(m, i, e)
+        m.compose(identity_form_matrix(F, src))
+        h0_mult_on_split(dst, m.entries[0][1], (0, 0))
+
+    use(fresh())
+    size = linecoh._mult_index.cache_info().currsize
+    for _ in range(5):
+        use(fresh())
+    assert linecoh._mult_index.cache_info().currsize == size
+
+
 @LAYOUT
 @given(st.data())
 def test_constant_pairing_is_the_composite(data):
@@ -476,7 +556,7 @@ def test_a_common_linear_factor_in_one_row_is_rejected(data):
     form = BiForm.make(field, side, coeffs)
     rows = [tuple(form_mul(f, form) for f in row) if r == i else row for r, row in enumerate(g.entries)]
     dst = tuple((t[0] + side[0], t[1] + side[1]) if r == i else t for r, t in enumerate(g.dst))
-    rep = sheaf_surjective(FormMatrix(field, g.src, dst, tuple(rows)))
+    rep = sheaf_surjective(FormMatrix.make(field, g.src, dst, tuple(rows)))
     assert not rep.surjective and rep.coker_dim > 0
 
 

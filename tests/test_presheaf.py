@@ -868,3 +868,46 @@ def test_h1k_map_refuses_a_summand_whose_h1_is_not_its_euler_class():
     assert (monad.h1k_map((0, -1)).rows, monad.h1k_map((0, -1)).cols) == (0, 1)
     with pytest.raises(InternalInvariantViolation, match=r"^H1 of summand \(0, -1\) at shift \(-2, 1\) is not its Euler class$"):
         monad.h1k_map((-2, 1))
+
+
+def test_monad_h0_and_h1_skip_h1k_map_where_k_has_no_h1(monkeypatch):
+    # where h1(K(e)) = 0, h1k_map has no column to chase and contributes
+    # nothing; the old path still built and ranked fbar's H1 to size it
+    monads = [textio.parse_bundle_text((CORPUS / name).read_text()) for name in CORPUS_MONADS_WITH_K[:8]]
+    twists = [e for d in range(-4, 5) for e in ((d, d), spinor_shift(1, d), spinor_shift(2, d))]
+    want = {}
+    for k, monad in enumerate(monads):
+        for e in twists:
+            try:
+                want[k, e] = eliminated_dims(monad, e)[:2]
+            except (PrereqVanishingFailed, InternalInvariantViolation) as exc:
+                want[k, e] = type(exc)
+    calls = []
+    chase = MonadPresentation.h1k_map
+    monkeypatch.setattr(MonadPresentation, "h1k_map", lambda self, e: calls.append(e) or chase(self, e))
+    live = 0
+    for k, monad in enumerate(monads):
+        for e in twists:
+            calls.clear()
+            try:
+                got = (monad.h0_dim(e), monad.h1_dim(e))
+            except (PrereqVanishingFailed, InternalInvariantViolation) as exc:
+                got = type(exc)
+            assert got == want[k, e], (CORPUS_MONADS_WITH_K[k], e)
+            if split_h(monad.K, e)[1] == 0:
+                assert calls == [], (CORPUS_MONADS_WITH_K[k], e)
+            live += bool(calls)
+    assert live > 0
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS)
+def test_monad_has_acm_summand_answers_on_corpus_monads(name):
+    from qhorrocks.horrocks import monad_has_acm_summand
+
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    assert not monad_has_acm_summand(monad)
+    # the same monad with O(l) added to its middle term, for l a twist of A
+    l = monad.A[0]
+    kappa = form_vstack([monad.kappa, FormMatrix.zero(F, monad.K, (l,))])
+    psi = form_hstack([monad.psi, FormMatrix.zero(F, (l,), monad.B)])
+    assert monad_has_acm_summand(MonadPresentation(kappa, psi, verify=False))
