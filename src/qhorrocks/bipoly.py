@@ -5,7 +5,7 @@ x0, x1, x2, x3 to su, sv, tu, tv.  The coordinate ring of the quadric is
 never represented as a quotient ring: its degree-d piece is the space of
 forms of bidegree (d, d), where the defining relation holds identically.
 This removes every Groebner computation from the package.  A `BiForm` is
-built, parsed, printed and evaluated, and carries no arithmetic: multiplying
+built, parsed and printed, and carries no arithmetic: multiplying
 by a form is a matrix in the fixed monomial bases below
 (`linecoh.coh_action` with i = 0), and sums are sums of coefficient vectors.
 
@@ -126,19 +126,6 @@ class BiForm:
         """The form with coefficients vec in monomial_basis(deg) order; the inverse of coefficient_vector."""
         terms = ((m, field.scalar(c)) for m, c in zip(monomial_basis(deg), vec) if c != 0)
         return BiForm(field, deg, tuple((m, c) for m, c in terms if c != 0))
-
-    def evaluate(self, s, t, u, v):
-        """Value at scalar coordinates; the zero form of any bidegree gives 0.
-
-        Only the sampled fibre check `MonadPresentation.fiberwise_injective`
-        evaluates forms.
-        """
-        f = self.field
-        a, b = self.deg
-        total = f.scalar(0)
-        for (i, j), c in self.coeffs:
-            total = f.scalar(total + c * s**i * t ** (a - i) * u**j * v ** (b - j))
-        return total
 
     def __str__(self):
         return format_biform(self)

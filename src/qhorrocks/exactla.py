@@ -1,17 +1,30 @@
-"""Exact dense linear algebra over a prime field or the rationals.
+"""Exact linear algebra over a prime field or the rationals.
 
 Every computation in the package bottoms out here: ranks, kernel bases,
-linear solves and quotient projections of dense matrices.  Two scalar
-backends share one elimination loop, `_rref`: residues mod a prime p stored
-in int64 numpy arrays, and arbitrary-precision `fractions.Fraction` stored in
-object arrays.  Each pivot updates only the rows with a nonzero entry in its
-column and only the columns from it rightwards.  Over F_p the reduction mod p
-is delayed (Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
-prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008): only the
-pivot column and row are reduced before use, the rest of the matrix once per
-`PrimeField._block` updates and at the end; over Q the reductions are no-ops.
-Pivoting is deterministic (first nonzero entry), so every basis produced
-anywhere downstream is reproducible across runs.
+linear solves and quotient projections of matrices stored dense, as
+residues mod a prime p in int64 numpy arrays or as arbitrary-precision
+`fractions.Fraction` in object arrays.  Both share one elimination kernel,
+`_rref`, in two phases.  The section matrices of the Künneth monomial model
+are a few percent dense, with about two nonzeros per column, so `_rref`
+first eliminates on the nonzeros: rows are dicts {column: nonzero} of
+Python scalars, the pivot row of a column is the unused row with the fewest
+nonzeros, and an update touches only the pivot row's nonzeros in the rows
+that hit its column (Bouillaguet and Delaplace, "Sparse Gaussian
+elimination modulo p: an update", CASC 2016, keep rows sparse until the
+remaining block is dense enough).  Python ints are exact, so this phase has
+no overflow budget.  Over F_p, when one update would touch more than
+SPARSE_UPDATE_LIMIT entries, the rows go into an int64 array and a dense
+numpy loop finishes: each pivot updates only the rows with a nonzero entry
+in its column and only the columns from it rightwards, and the reduction
+mod p is delayed (Dumas, Giorgi and Pernet, "Dense linear algebra over
+word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
+2008): only the pivot column and row are reduced before use, the rest of
+the matrix once per `PrimeField._block` updates and at the end.  Over Q a
+dense loop would run the same `Fraction` arithmetic one object at a time,
+zeros included, so elimination over Q stays sparse throughout.  The
+reduced row echelon form is unique, so neither the pivot rows chosen nor
+the column where the phases switch changes any result, and every basis
+produced downstream is reproducible.
 
 A rank, `_rank`, first peels structural pivots off the nonzero pattern: a
 column whose only nonzero lies in row i adds 1 to the rank, and column
@@ -23,7 +36,7 @@ over finite fields", CRYPTO '90) and the "structural pivots" of Bouillaguet
 and Delaplace ("Sparse Gaussian elimination modulo p: an update", CASC 2016).
 The section matrices of the Künneth monomial model are sparse and nearly
 triangular, and peeling alone ranks them; only what survives the peel is
-eliminated, by the forward half of `_rref`.  A `Matrix` remembers its rank.
+eliminated, by `_rref` with reduced=False.  A `Matrix` remembers its rank.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ import numpy as np
 
 DEFAULT_PRIME = 32003
 MAX_PRIME = 3_037_000_499  # (p - 1)**2 < 2**63, so PrimeField._block is at least 1
+SPARSE_UPDATE_LIMIT = 1024  # entries one sparse pivot update of _rref may touch over F_p; past it the rest goes dense
 
 
 class QhorrocksError(Exception):
@@ -350,21 +364,97 @@ class Matrix:
 def _rref(field, a: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
     """Gauss-Jordan elimination: the reduced row echelon form of a and its pivot columns.
 
-    Each pivot updates only columns c: (every row from r down is already zero
-    left of c) and only the rows whose pivot-column entry is nonzero.  Over
-    F_p the entries are reduced lazily: the pivot column and the pivot row
-    before they are used, the rest of the matrix only when one more update
-    could overflow int64 (after `PrimeField._block` updates) and once at the
-    end.  With reduced=False only the rows below each pivot are cleared: a row
-    echelon form with the same pivots, enough for a rank.
+    Rows are held sparse, as dicts {column: nonzero} of Python scalars, with
+    the set of rows that hit each column.  Columns go left to right; the
+    pivot row of a column is the unused row with the fewest nonzeros, and an
+    update touches only the pivot row's nonzeros in the rows that hit the
+    column.  Python ints are exact, so over F_p each entry is reduced as it
+    is written and nothing can overflow.  Over F_p, when one update would
+    touch more than SPARSE_UPDATE_LIMIT entries, what is left has filled
+    in: the rows go into an array, pivot rows first in pivot order, then
+    the unused rows, and `_rref_dense` finishes from that column.  The RREF
+    is unique, so neither the pivot choice nor the switch changes the
+    result.  With reduced=False only unused rows are updated: a row echelon
+    form with the same pivots, enough for a rank.
     """
-    a = a.copy()
     m, n = a.shape
-    budget = field._block if field.p else math.inf  # updates before an entry could overflow
-    pending = 0  # updates since the matrix was last reduced
-    pivots = []
-    r = 0
+    p = field.p
+    a = field.reduce(a)
+    ii, jj = np.nonzero(a)
+    il, jl, xs = ii.tolist(), jj.tolist(), a[ii, jj].tolist()
+    bounds = np.searchsorted(ii, np.arange(m + 1)).tolist()
+    rows = [dict(zip(jl[s:e], xs[s:e])) for s, e in zip(bounds, bounds[1:])]
+    hits: list[set[int]] = [set() for _ in range(n)]  # the rows with a nonzero in each column
+    for i, j in zip(il, jl):
+        hits[j].add(i)
+    unused = set(range(m))
+    order: list[int] = []  # the pivot rows, in pivot order
+    pivots: list[int] = []
     for c in range(n):
+        if not unused:
+            break
+        cand = [i for i in hits[c] if i in unused]
+        if not cand:
+            continue
+        r = min(cand, key=lambda i: len(rows[i]))
+        prow = rows[r]
+        targets = list(hits[c]) if reduced else cand
+        if p and (len(targets) - 1) * len(prow) > SPARSE_UPDATE_LIMIT:
+            return _rref_dense(field, _rows_array(field, [rows[i] for i in order + sorted(unused)], m, n), c, pivots, reduced)
+        if prow[c] != 1:
+            inv = field.inv(prow[c])
+            for j, x in prow.items():
+                prow[j] = x * inv % p if p else x * inv
+        for i in targets:
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if p:
+                    y %= p
+                if y:
+                    if j not in row:
+                        hits[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    hits[j].discard(i)
+        unused.discard(r)
+        order.append(r)
+        pivots.append(c)
+    return _rows_array(field, [rows[i] for i in order], m, n), tuple(pivots)
+
+
+def _rows_array(field, rows: list[dict], m: int, n: int) -> np.ndarray:
+    """An m x n array whose first rows are the sparse rows {column: value} given, the rest zero."""
+    ks, js, xs = [], [], []
+    for k, row in enumerate(rows):
+        ks += [k] * len(row)
+        js += row
+        xs += row.values()
+    out = field.zeros(m, n)
+    out[ks, js] = xs
+    return out
+
+
+def _rref_dense(field, a: np.ndarray, start: int, pivots: list[int], reduced: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The dense loop of `_rref` over F_p, from column start on, with rows [0, len(pivots)) the pivot rows found so far.
+
+    Each pivot updates only columns c: (every row from r down is already zero
+    left of c) and only the rows whose pivot-column entry is nonzero.  The
+    entries are reduced lazily: the pivot column and the pivot row before
+    they are used, the rest of the matrix only when one more update could
+    overflow int64 (after `PrimeField._block` updates) and once at the end
+    (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  a comes in reduced,
+    and is overwritten.
+    """
+    m, n = a.shape
+    budget = field._block  # updates before an entry could overflow
+    pending = 0  # updates since the matrix was last reduced
+    r = len(pivots)
+    for c in range(start, n):
         if r >= m:
             break
         top = 0 if reduced else r
@@ -404,10 +494,9 @@ def _rank(field, a: np.ndarray) -> int:
     and Delaplace, "Sparse Gaussian elimination modulo p: an update", CASC
     2016).  Pattern rows and columns are the two sides of a bipartite graph;
     a work list of degree-1 vertices peels it in time linear in the nonzeros.
-    The surviving rows and columns keep their original entries, and the
-    forward half of `_rref` ranks them.  When no row or column of a is a
-    singleton, a goes straight to `_rref` and the graph is never built, so a
-    dense matrix pays only for one count of its nonzeros.
+    The surviving rows and columns keep their original entries, and `_rref`
+    with reduced=False ranks them.  When no row or column of a is a
+    singleton, a goes straight to `_rref` and the graph is never built.
     """
     m, n = a.shape
     if m == 0 or n == 0:

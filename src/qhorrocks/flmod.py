@@ -267,7 +267,7 @@ def module_from_bundle(rep) -> ModelledModule:
         return ModelledModule(FinLengthModule(fld, {}, {}), {}, rep)
     if isinstance(rep, MonadPresentation):
         for d in range(lo, hi + 1):
-            if rep.h1k_map((d, d)).cols:
+            if split_h(rep.K, (d, d))[1] and rep.h1k_map((d, d)).cols:
                 raise VerificationFailed("H1 of K meets the diagonal window")
     dims = {}
     models = {}

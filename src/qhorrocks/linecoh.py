@@ -310,8 +310,8 @@ class FormMatrix:
     def entries(self) -> tuple[tuple[BiForm, ...], ...]:
         """The forms, [dst index][src index], read off the section vectors once per matrix.
 
-        Only formatting, stability's determinants, summand stripping and the
-        sampled fibre check read forms; every product goes through _mult_index.
+        Only formatting, stability's determinants and summand stripping read
+        forms; every product goes through _mult_index.
         """
         return tuple(
             tuple(BiForm.from_vector(self.field, deg_sub(d, t), v[o[k] : o[k + 1]]) for t, v, o in zip(self.src, self.sections, self._offsets))

@@ -466,6 +466,15 @@ def _euler_chase(p: KerPresentation, j: int, d: int, sections: Matrix) -> Matrix
 # monads
 
 
+def _powers(field, x: np.ndarray, top: int) -> np.ndarray:
+    """out[n, e] = x[n] ** e for e = 0 .. top."""
+    out = field.zeros(x.shape[0], top + 1)
+    out[:, 0] = field.scalar(1)
+    for e in range(1, top + 1):
+        out[:, e] = field.reduce(out[:, e - 1] * x)
+    return out
+
+
 class MonadPresentation:
     """E = ker(psi) / im(kappa) for split bundles K -> A -> B.
 
@@ -499,18 +508,33 @@ class MonadPresentation:
         return f"MonadPresentation({list(self.K)} -> {list(self.A)} -> {list(self.B)})"
 
     def fiberwise_injective(self, rng=None, samples: int = 50) -> bool:
-        """Sampled only: kappa has full rank at random points with four nonzero coordinates."""
+        """Sampled only: kappa has full rank at random points with four nonzero coordinates.
+
+        The points are drawn first, four nonzero scalars each, and kappa is
+        evaluated at all of them at once, one entry at a time: entry (k, j)
+        of bidegree (a, b) has the coefficients c[a - i, b - j] of s^i t^(a-i)
+        u^j v^(b-j) in its slice of section j, so its values are the row sums
+        of (S c) * U, with S[n, r] = s_n^(a-r) t_n^r and U[n, q] = u_n^(b-q) v_n^q.
+        """
         rng = rng or random.Random(20003)
         if not self.K:
             return True
-        for _ in range(samples):
-            point = []
-            while len(point) < 4:
-                x = self.field.random_scalar(rng)
-                if x != 0:
-                    point.append(x)
-            vals = [[f.evaluate(*point) for f in row] for row in self.kappa.entries]
-            if Matrix.make(self.field, vals).rank() < len(self.K):
+        fld = self.field
+        coords = []
+        while len(coords) < 4 * samples:
+            x = fld.random_scalar(rng)
+            if x != 0:
+                coords.append(x)
+        slots = [(k, j, (a, b), c.reshape(a + 1, b + 1)) for k, j, (a, b), c in self.kappa._nonzero_slots]
+        top = max((max(deg) for _, _, deg, _ in slots), default=0)
+        s, t, u, v = (_powers(fld, x, top) for x in fld.array([coords[n::4] for n in range(4)]))
+        vals = fld.zeros(samples, len(self.A) * len(self.K)).reshape(samples, len(self.A), len(self.K))
+        for k, j, (a, b), c in slots:
+            left = fld.reduce(s[:, a::-1] * t[:, : a + 1])
+            right = fld.reduce(u[:, b::-1] * v[:, : b + 1])
+            vals[:, k, j] = fld.reduce(fld.reduce(fld.matmul(left, c) * right).sum(axis=1))
+        for point in vals:
+            if Matrix(fld, point).rank() < len(self.K):
                 return False
         return True
 

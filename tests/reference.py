@@ -132,6 +132,36 @@ def twisted(m: FormMatrix, e) -> FormMatrix:
     return FormMatrix.from_sections(m.field, src, dst, [m.section(j) for j in range(m.cols)])
 
 
+def evaluate(f: BiForm, s, t, u, v):
+    """The value of f at scalar coordinates, term by term; the zero form of any bidegree gives 0."""
+    field, (a, b) = f.field, f.deg
+    total = field.scalar(0)
+    for (i, j), c in f.coeffs:
+        total = field.scalar(total + c * s**i * t ** (a - i) * u**j * v ** (b - j))
+    return total
+
+
+def fiberwise_injective_by_entries(monad, rng, samples: int = 50) -> bool:
+    """MonadPresentation.fiberwise_injective with every entry form evaluated at each point on its own.
+
+    The points are drawn one at a time and the first point of lower rank
+    stops the draws, so the rng moves as far as the library's only when
+    every point passes.
+    """
+    if not monad.K:
+        return True
+    for _ in range(samples):
+        point = []
+        while len(point) < 4:
+            x = monad.field.random_scalar(rng)
+            if x != 0:
+                point.append(x)
+        vals = [[evaluate(f, *point) for f in row] for row in monad.kappa.entries]
+        if Matrix.make(monad.field, vals).rank() < len(monad.K):
+            return False
+    return True
+
+
 def random_matrix(field, rng, rows: int, cols: int) -> Matrix:
     a = field.zeros(rows, cols)
     for i in range(rows):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -408,6 +409,81 @@ def test_rank_of_a_long_chain_needs_no_elimination(monkeypatch):
     assert _rank(F, a) == 300
     a[-1, -1] = 0
     assert _rank(F, a) == 299
+
+
+# ---------------------------------------------------------------------------
+# the two phases of _rref: sparse rows, then a dense tail once an update fills in
+
+
+@st.composite
+def wide_sparse_arrays(draw):
+    """A field and an array up to 40 x 80 with 1-3 nonzeros per column and up to 3 planted rows dense from some column on."""
+    field = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(1, 40)), draw(st.integers(1, 80))
+    a = field.zeros(r, c)
+    entry = sparse_entries(field)
+    for j in range(c):
+        for i in draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3)):
+            a[i, j] = draw(entry)
+    for i, j0 in draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)), max_size=3)):
+        a[i, j0:] = draw(st.lists(entry, min_size=c - j0, max_size=c - j0))
+    return field, a
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_sparse_arrays(), st.sampled_from([0, 4, 32, 256, exactla.SPARSE_UPDATE_LIMIT]))
+def test_sparse_elimination_and_its_dense_tail_match_the_reference(fa, limit):
+    # a lower limit moves the switch to the dense tail to an earlier column (0: the first pivot column
+    # hit by two rows); the result may not depend on where the switch falls
+    field, a = fa
+    rows, pivots = reference_rref(field, a)
+    with mock.patch.object(exactla, "SPARSE_UPDATE_LIMIT", limit):
+        r, got = _rref(field, a)
+        assert _rref(field, a, reduced=False)[1] == got
+        assert _rank(field, a) == len(pivots)
+    assert got == tuple(pivots)
+    assert r.tolist() == rows
+
+
+def tail_after_sparse_pivots(field, rng, lead: int = 5, rows: int = 80, width: int = 70, inner: int = 12) -> np.ndarray:
+    """A chain of `lead` sparse rows over a block with no zero entry and rank at most `inner`.
+
+    Row j < lead holds (j, j) and (j, j + 1), and row rows // 2 + j, a block
+    row, holds (rows // 2 + j, j): the leading columns are cheap sparse
+    pivots that leave the block dense.  At column `lead` every block row is
+    hit, so one update would touch about rows * width entries, past
+    SPARSE_UPDATE_LIMIT.  No row or column is a singleton, so `_rank` peels
+    nothing and hands the whole array to `_rref`.
+    """
+    def nonzero():
+        return field.scalar(rng.randrange(1, 50)) or field.scalar(1)
+
+    a = field.zeros(rows, lead + width)
+    for j in range(lead):
+        a[j, j] = nonzero()
+        a[j, j + 1] = nonzero()
+        a[rows // 2 + j, j] = nonzero()
+    base = field.zeros(rows - lead, inner)
+    for i in range(rows - lead):
+        for k in range(inner):
+            base[i, k] = nonzero()
+    a[lead:, lead:] = base[:, [k % inner for k in range(width)]]  # repeated columns
+    return a
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_dense_tail_takes_over_after_sparse_pivots(field, monkeypatch):
+    # F_3037000493 has PrimeField._block == 1: the tail reduces the whole block before every update.
+    # Over Q elimination stays sparse: a dense loop on Fraction objects would do the same arithmetic, zeros included.
+    a = tail_after_sparse_pivots(field, random.Random(6))
+    rows, pivots = reference_rref(field, a)
+    switches = []
+    dense = exactla._rref_dense
+    monkeypatch.setattr(exactla, "_rref_dense", lambda f, b, start, piv, reduced: switches.append((start, len(piv), reduced)) or dense(f, b, start, piv, reduced))
+    r, got = _rref(field, a)
+    assert got == tuple(pivots) and r.tolist() == rows
+    assert _rank(field, a) == len(pivots)
+    assert switches == ([(5, 5, True), (5, 5, False)] if field.p else [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField, RationalField
-from qhorrocks.bipoly import parse_biform
+from qhorrocks import textio
+from qhorrocks.bipoly import BiForm, parse_biform
 from qhorrocks.linecoh import FormMatrix
-from qhorrocks.presheaf import KerPresentation
+from qhorrocks.presheaf import KerPresentation, MonadPresentation, PrereqVanishingFailed
 from qhorrocks.generate import random_module
 from qhorrocks.flmod import (
     X_FORMS,
@@ -408,3 +410,25 @@ def test_module_iso_conjugated(F):
             continue
         for k in range(4):
             assert (iso[d + 1] @ m.op(k, d)) == (m2.op(k, d) @ iso[d])
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"
+
+
+def test_module_from_bundle_chases_h1k_map_only_where_k_has_h1(monkeypatch):
+    calls = []
+    chase = MonadPresentation.h1k_map
+    monkeypatch.setattr(MonadPresentation, "h1k_map", lambda self, e: calls.append(e) or chase(self, e))
+    # a spinor twist of K has no H1 at any diagonal twist, so the corpus monads need no chase at all
+    for path in sorted(CORPUS.glob("*.monad"))[:6]:
+        assert module_from_bundle(textio.parse_bundle_text(path.read_text())).module.dims
+    assert calls == []
+    # O(2, 0) added to K and A by the identity, with psi zero on it: H1(O(2, 0)(-2, -2)) = 1 lies in the
+    # window, and the chase there refuses as it always did, before the window check could
+    m = textio.parse_bundle_text((CORPUS / "t01.monad").read_text())
+    one = BiForm.constant(m.field, 1)
+    kappa = FormMatrix.make(m.field, m.K + ((2, 0),), m.A + ((2, 0),), [(*row, 0) for row in m.kappa.entries] + [(0,) * len(m.K) + (one,)])
+    psi = FormMatrix.make(m.field, m.A + ((2, 0),), m.B, [(*row, 0) for row in m.psi.entries])
+    with pytest.raises(PrereqVanishingFailed, match=r"H1 of the middle term is nonzero at shift \(-2, -2\)"):
+        module_from_bundle(MonadPresentation(kappa, psi))
+    assert calls == [(-2, -2)]

@@ -51,6 +51,7 @@ from qhorrocks.horrocks import synthesize
 from reference import (
     eliminated_dims,
     eliminated_table,
+    fiberwise_injective_by_entries,
     find_acm_summand_ungated,
     h2_kappa_injective_scan,
     form_add,
@@ -898,6 +899,53 @@ def test_monad_h0_and_h1_skip_h1k_map_where_k_has_no_h1(monkeypatch):
                 assert calls == [], (CORPUS_MONADS_WITH_K[k], e)
             live += bool(calls)
     assert live > 0
+
+
+# fiberwise_injective evaluates kappa at all its points at once from the
+# section slices; the oracle evaluates every entry form at each point in turn
+
+
+@pytest.mark.parametrize("name", CORPUS_MONADS_WITH_K)
+def test_fibre_sampler_answers_and_draws_as_the_per_entry_oracle_on_corpus_monads(name):
+    monad = textio.parse_bundle_text((CORPUS / name).read_text())
+    for seed in range(3):
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert monad.fiberwise_injective(ours) is fiberwise_injective_by_entries(monad, ref) is True
+        assert ours.getstate() == ref.getstate()  # the draws after the check, triple_iso's among them, do not move
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), RationalField()], ids=lambda f: f.name)
+def test_fibre_sampler_fails_at_the_same_points_as_the_per_entry_oracle(field):
+    # (s - t) u and (s - t) v vanish together where s = t: over F_5 a point
+    # drops rank with probability 1/4, over Q (draws in -20..20) with 1/40.
+    # One entry s^2 u + 2 s t v + 3 t^2 u drops rank on its zero set, which
+    # moves if any exponent of s, t, u or v is read off the wrong place.
+    # samples=1 compares the answer at each single point.
+    a = ((0, 0), (0, 0))
+    psi = gm(a, (), [], field)
+    monads = [
+        MonadPresentation(gm(((-1, -1),), a, [["s*u - t*u"], ["s*v - t*v"]], field), psi, verify=False),
+        MonadPresentation(gm(((-1, -1),), a, [["s*u"], ["t*v"]], field), psi, verify=False),
+        MonadPresentation(gm(((-2, -1),), a[:1], [["s^2*u + 2*s*t*v + 3*t^2*u"]], field), gm(a[:1], (), [], field), verify=False),
+    ]
+    answers = []
+    for seed in range(40):
+        for monad in monads:
+            for samples in (1, 50):
+                ours, ref = random.Random(seed), random.Random(seed)
+                got = monad.fiberwise_injective(ours, samples)
+                assert got is fiberwise_injective_by_entries(monad, ref, samples)
+                if got:
+                    assert ours.getstate() == ref.getstate()
+                answers.append(got)
+    assert False in answers and True in answers
+
+
+def test_fibre_sampler_refuses_a_kappa_with_a_zero_column_at_its_first_point():
+    zeroed = textio.parse_bundle_text((CORPUS / "t11.monad").read_text())
+    kappa = FormMatrix.from_sections(F, zeroed.K, zeroed.A, [np.zeros_like(zeroed.kappa.section(0)), *zeroed.kappa.sections[1:]])
+    zeroed = MonadPresentation(kappa, zeroed.psi, verify=False)
+    assert zeroed.fiberwise_injective(random.Random(1)) is fiberwise_injective_by_entries(zeroed, random.Random(1)) is False
 
 
 @pytest.mark.parametrize("name", CORPUS_MONADS)
