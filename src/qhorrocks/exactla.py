@@ -3,40 +3,26 @@
 Every computation in the package bottoms out here: ranks, kernel bases,
 linear solves and quotient projections of matrices stored dense, as
 residues mod a prime p in int64 numpy arrays or as arbitrary-precision
-`fractions.Fraction` in object arrays.  Both share one elimination kernel,
-`_rref`, in two phases.  The section matrices of the Künneth monomial model
-are a few percent dense, with about two nonzeros per column, so `_rref`
-first eliminates on the nonzeros: rows are dicts {column: nonzero} of
-Python scalars, the pivot row of a column is the unused row with the fewest
-nonzeros, and an update touches only the pivot row's nonzeros in the rows
-that hit its column (Bouillaguet and Delaplace, "Sparse Gaussian
-elimination modulo p: an update", CASC 2016, keep rows sparse until the
-remaining block is dense enough).  Python ints are exact, so this phase has
-no overflow budget.  Over F_p, when one update would touch more than
-SPARSE_UPDATE_LIMIT entries, the rows go into an int64 array and a dense
-numpy loop finishes: each pivot updates only the rows with a nonzero entry
-in its column and only the columns from it rightwards, and the reduction
-mod p is delayed (Dumas, Giorgi and Pernet, "Dense linear algebra over
-word-size prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3),
-2008): only the pivot column and row are reduced before use, the rest of
-the matrix once per `PrimeField._block` updates and at the end.  Over Q a
-dense loop would run the same `Fraction` arithmetic one object at a time,
-zeros included, so elimination over Q stays sparse throughout.  The
-reduced row echelon form is unique, so neither the pivot rows chosen nor
-the column where the phases switch changes any result, and every basis
-produced downstream is reproducible.
+`fractions.Fraction` in object arrays.  One elimination kernel, `_rref`,
+serves both fields.  The section matrices of the Künneth monomial model are
+a few percent dense, so `_rref` eliminates on the nonzeros (Bouillaguet and
+Delaplace, "Sparse Gaussian elimination modulo p: an update", CASC 2016)
+and over F_p hands what fills in to a dense numpy loop, `_rref_dense`.
+Over Q a dense loop would run the same `Fraction` arithmetic one object at
+a time, zeros included, so elimination over Q stays sparse, and products
+over Q skip zeros too.  A rank, `_rank`, peels structural pivots off the
+nonzero pattern and eliminates only what is left.  The reduced row echelon
+form is unique, so neither pivot choices nor the switch to the dense loop
+change any result, and every basis produced downstream is reproducible.
 
-A rank, `_rank`, first peels structural pivots off the nonzero pattern: a
-column whose only nonzero lies in row i adds 1 to the rank, and column
-operations with it clear row i without touching any other entry, so row i
-and the column drop out and the rest of the matrix keeps its values; a row
-with one nonzero is the transposed case.  This is the "structured Gaussian
-elimination" of LaMacchia and Odlyzko ("Solving large sparse linear systems
-over finite fields", CRYPTO '90) and the "structural pivots" of Bouillaguet
-and Delaplace ("Sparse Gaussian elimination modulo p: an update", CASC 2016).
-The section matrices of the Künneth monomial model are sparse and nearly
-triangular, and peeling alone ranks them; only what survives the peel is
-eliminated, by `_rref` with reduced=False.  A `Matrix` remembers its rank.
+A `Matrix` keeps what its eliminations found, so no read-out eliminates a
+matrix twice.  Its echelon (the nonzero rows of the RREF and their pivot
+columns) comes from one elimination and serves every kernel read-out:
+`kernel_basis`, and, on a matrix whose rows or columns span the subspace,
+`quotient_data`, `span_basis` and `column_space_basis`.  Its first solve
+eliminates [A | I] once, which yields the echelon and the transform U with
+U @ A = RREF(A); every right-hand side B, then and later, costs the product
+U @ B.  U is m x m, so only matrices that are solved against build it.
 """
 
 from __future__ import annotations
@@ -180,9 +166,17 @@ class RationalField:
         return a
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape[1] == 0:
-            return self.zeros(a.shape[0], b.shape[1])
-        return a @ b
+        # one outer product per inner index, on the nonzeros only: a Fraction product
+        # costs as much when it is zero, and numpy's object matmul forms them all
+        out = self.zeros(a.shape[0], b.shape[1])
+        if min(out.shape) <= 1:
+            # no product, or a vector: testing every entry for zero costs about what the products do
+            return a @ b if out.size and a.shape[1] else out
+        anz, bnz = a != 0, b != 0
+        for k in np.flatnonzero(anz.any(axis=0) & bnz.any(axis=1)):
+            i, j = np.flatnonzero(anz[:, k]), np.flatnonzero(bnz[k])
+            out[np.ix_(i, j)] += np.outer(a[i, k], b[k, j])
+        return out
 
     def inv(self, x) -> Fraction:
         if x == 0:
@@ -225,18 +219,22 @@ def get_field(spec) -> PrimeField | RationalField:
 class Matrix:
     """A dense matrix over a fixed field.  Immutable; all ops return new values.
 
-    The array is frozen on construction, so the rank, once computed by
-    `rank()` or `kernel_basis()`, is remembered.
+    The array is frozen on construction, so the rank, the echelon and the
+    transform U of the module docstring are each computed once and kept:
+    the rank and the echelon on first use, U on the first solve.
     """
 
     field: PrimeField | RationalField
     a: np.ndarray  # 2-D, row-major, read-only
+    # what eliminations found, kept by the first read-out that computes it (object.__setattr__)
+    _rank = None
+    _echelon = None
+    _transform = None
 
     def __post_init__(self):
         if self.a.ndim != 2:
             raise ValueError("matrix storage must be 2-D")
         self.a.flags.writeable = False
-        object.__setattr__(self, "_rank", None)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -327,11 +325,36 @@ class Matrix:
             object.__setattr__(self, "_rank", _rank(self.field, self.a))
         return self._rank
 
+    def echelon(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The nonzero rows of the reduced row echelon form, and their pivot columns; eliminated once."""
+        if self._echelon is None:
+            r, pivots = _rref(self.field, self.a)
+            self._keep_echelon(r[: len(pivots)].copy(), pivots)
+        return self._echelon
+
+    def _keep_echelon(self, r: np.ndarray, pivots: tuple[int, ...]):
+        r.flags.writeable = False
+        object.__setattr__(self, "_echelon", (r, pivots))
+        object.__setattr__(self, "_rank", len(pivots))
+
+    def _kernel_rows(self) -> tuple[np.ndarray, list[int]]:
+        """Right kernel basis as the rows of an array, and the free column each row is 1 at.
+
+        The row of free column f is e_f minus the entries of the RREF's
+        pivot rows in column f, placed at their pivot columns.
+        """
+        r, pivots = self.echelon()
+        pivset = set(pivots)
+        free = [j for j in range(self.cols) if j not in pivset]
+        k = self.field.zeros(len(free), self.cols)
+        k[range(len(free)), free] = self.field.scalar(1)
+        if pivots:
+            k[:, list(pivots)] = self.field.reduce(-r[:, free].T)
+        return k, free
+
     def kernel_basis(self) -> list[np.ndarray]:
         """Basis of the right kernel, one vector per non-pivot column."""
-        k, free = _kernel(self.field, self.a)
-        object.__setattr__(self, "_rank", self.cols - len(free))
-        return list(k)
+        return list(self._kernel_rows()[0])
 
     def kernel_matrix(self) -> "Matrix":
         return Matrix.from_columns(self.field, self.kernel_basis(), rows_dim=self.cols)
@@ -342,23 +365,35 @@ class Matrix:
         return sol.col(0)
 
     def solve_matrix(self, rhs: "Matrix") -> "Matrix":
-        """Solve self @ X = rhs column-wise; raises NoSolution if any column fails."""
+        """Solve self @ X = rhs column-wise, free variables zero; raises NoSolution if any column fails.
+
+        With U @ self = RREF(self), Y = U @ rhs: rhs is in the column space
+        exactly when the rows of Y past the rank vanish, and then row i of Y
+        is the value of the i-th pivot variable.  The RREF is unique, so X is
+        the solution that eliminating [self | rhs] would read out.
+        """
         self._check(rhs)
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        aug = hstack([self, rhs])
-        r, pivots = _rref(self.field, aug.a)
-        n = self.cols
-        x = self.field.zeros(n, rhs.cols)
-        for i, pc in enumerate(pivots):
-            if pc >= n:
-                raise NoSolution("rhs outside column space")
-            x[pc, :] = r[i, n:]
+        if self._transform is None:
+            # one elimination of [self | I]: its left block is RREF(self), its right block U
+            n = self.cols
+            r, pivots = _rref(self.field, np.concatenate([self.a, Matrix.identity(self.field, self.rows).a], axis=1))
+            pivots = tuple(c for c in pivots if c < n)
+            object.__setattr__(self, "_transform", r[:, n:].copy())
+            self._keep_echelon(r[: len(pivots), :n].copy(), pivots)
+        _, pivots = self.echelon()
+        y = self.field.matmul(self._transform, rhs.a)
+        if np.any(y[len(pivots) :] != 0):
+            raise NoSolution("rhs outside column space")
+        x = self.field.zeros(self.cols, rhs.cols)
+        x[list(pivots), :] = y[: len(pivots)]
         return Matrix(self.field, x)
 
     def column_space_basis(self) -> "Matrix":
-        """Canonical basis of the column span (rref of the transpose, as columns)."""
-        return span_basis(self.field, self.a.T, self.rows)
+        """Canonical basis of the column span: the echelon rows of the transpose, as columns."""
+        r, _ = Matrix(self.field, self.a.T).echelon()
+        return Matrix(self.field, r.T.copy())
 
 
 def _rref(field, a: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -372,17 +407,22 @@ def _rref(field, a: np.ndarray, reduced: bool = True) -> tuple[np.ndarray, tuple
     is written and nothing can overflow.  Over F_p, when one update would
     touch more than SPARSE_UPDATE_LIMIT entries, what is left has filled
     in: the rows go into an array, pivot rows first in pivot order, then
-    the unused rows, and `_rref_dense` finishes from that column.  The RREF
-    is unique, so neither the pivot choice nor the switch changes the
-    result.  With reduced=False only unused rows are updated: a row echelon
-    form with the same pivots, enough for a rank.
+    the unused rows, and `_rref_dense` finishes from that column.  The first
+    update is priced from the nonzero pattern before any dict is built, so a
+    dense input goes to `_rref_dense` whole.  With reduced=False only unused
+    rows are updated: a row echelon form with the same pivots, for a rank.
     """
     m, n = a.shape
     p = field.p
     a = field.reduce(a)
     ii, jj = np.nonzero(a)
-    il, jl, xs = ii.tolist(), jj.tolist(), a[ii, jj].tolist()
-    bounds = np.searchsorted(ii, np.arange(m + 1)).tolist()
+    bounds = np.searchsorted(ii, np.arange(m + 1))
+    if p and (m - 1) * n > SPARSE_UPDATE_LIMIT and ii.shape[0]:
+        # the first update, priced as below from the nonzero pattern: a dense input skips the dicts
+        hit = ii[jj == jj.min()]
+        if (hit.shape[0] - 1) * int(np.diff(bounds)[hit].min()) > SPARSE_UPDATE_LIMIT:
+            return _rref_dense(field, a, 0, [], reduced)
+    il, jl, xs, bounds = ii.tolist(), jj.tolist(), a[ii, jj].tolist(), bounds.tolist()
     rows = [dict(zip(jl[s:e], xs[s:e])) for s, e in zip(bounds, bounds[1:])]
     hits: list[set[int]] = [set() for _ in range(n)]  # the rows with a nonzero in each column
     for i, j in zip(il, jl):
@@ -534,27 +574,6 @@ def _rank(field, a: np.ndarray) -> int:
     return rank
 
 
-def _kernel(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Right kernel basis as the rows of an array, and the free column each row is 1 at."""
-    r, pivots = _rref(field, a)
-    pivset = set(pivots)
-    free = [j for j in range(a.shape[1]) if j not in pivset]
-    k = field.zeros(len(free), a.shape[1])
-    k[range(len(free)), free] = field.scalar(1)
-    for i, pc in enumerate(pivots):
-        k[:, pc] = field.reduce(-r[i, free])
-    return k, free
-
-
-def _nonzero_rows(field, vectors, n: int) -> np.ndarray:
-    """The nonzero vectors as the rows of an array with n columns."""
-    vecs = [v for v in vectors if np.any(np.asarray(v) != 0)]
-    rows = field.zeros(len(vecs), n)
-    for i, v in enumerate(vecs):
-        rows[i, :] = v
-    return rows
-
-
 def hstack(mats: list[Matrix]) -> Matrix:
     mats = list(mats)
     return Matrix(mats[0].field, np.concatenate([m.a for m in mats], axis=1))
@@ -565,39 +584,33 @@ def vstack(mats: list[Matrix]) -> Matrix:
     return Matrix(mats[0].field, np.concatenate([m.a for m in mats], axis=0))
 
 
-def quotient_data(field, ambient_dim: int, subspace: list[np.ndarray]) -> tuple[Matrix, Matrix]:
-    """Coset data for ambient / span(subspace).
+def quotient_data(span: Matrix) -> tuple[Matrix, Matrix]:
+    """Coset data for the quotient of span's ambient space (its rows) by its column span.
 
     Returns (reps, proj): `proj` is the surjection ambient -> quotient whose
-    rows are the kernel basis of the subspace vectors stacked as rows, so its
-    kernel is exactly the span; `reps` has one column per coset basis vector,
+    rows are the kernel basis of the transpose of span, so its kernel is
+    exactly the column span; `reps` has one column per coset basis vector,
     the standard basis vector at that kernel vector's free coordinate.  By
     construction proj @ reps is the identity.
     """
-    k, free = _kernel(field, _nonzero_rows(field, subspace, ambient_dim))
-    reps = field.zeros(ambient_dim, len(free))
+    field = span.field
+    k, free = Matrix(field, span.a.T)._kernel_rows()
+    reps = field.zeros(span.rows, len(free))
     reps[free, range(len(free))] = field.scalar(1)
     return Matrix(field, reps), Matrix(field, k)
 
 
 def span_basis(field, vectors, ambient_dim: int) -> Matrix:
     """Canonical basis (rref rows, as columns) of the span of the given vectors."""
-    r, pivots = _rref(field, _nonzero_rows(field, vectors, ambient_dim))
-    return Matrix(field, r[: len(pivots)].T.copy())
+    return Matrix.from_columns(field, vectors, ambient_dim).column_space_basis()
 
 
 def preimage_basis(m: Matrix, target_span: Matrix) -> Matrix:
     """Basis of {x : m @ x lies in the column span of target_span}."""
     stacked = hstack([m, -target_span]) if target_span.cols else m
-    kern = stacked.kernel_basis()
-    parts = [v[: m.cols] for v in kern]
-    return span_basis(m.field, parts, m.cols)
+    return Matrix(m.field, stacked.kernel_matrix().a[: m.cols]).column_space_basis()
 
 
 def subspace_equal(a: Matrix, b: Matrix) -> bool:
     """Whether two column-span subspaces of the same ambient space coincide."""
-    if a.rows != b.rows:
-        return False
-    sa = span_basis(a.field, list(a.columns()), a.rows)
-    sb = span_basis(b.field, list(b.columns()), b.rows)
-    return sa == sb
+    return a.rows == b.rows and a.column_space_basis() == b.column_space_basis()

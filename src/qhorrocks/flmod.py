@@ -112,10 +112,7 @@ def minimal_generators(m: FinLengthModule) -> dict[int, tuple[Matrix, Matrix]]:
     """Per degree: (coset representative columns, projection) of M_d / (x . M_{d-1})."""
     out = {}
     for d in m.support():
-        images = []
-        for k in range(4):
-            images.extend(list(m.op(k, d - 1).columns()))
-        reps, proj = quotient_data(m.field, m.dim(d), images)
+        reps, proj = quotient_data(hstack([m.op(k, d - 1) for k in range(4)]))
         if reps.cols:
             out[d] = (reps, proj)
     return out
@@ -214,12 +211,11 @@ def minimal_presentation(m: FinLengthModule) -> MinimalPresentation:
     for d in range(m.lo, bound + 1):
         pi_d = pi[d] if d in pi else Matrix.zeros(fld, 0, split_h(L0, (d, d))[0])
         ker = pi_d.kernel_matrix()
-        known = []
+        known = Matrix.zeros(fld, ker.cols, 0)
         if ker.cols and below.cols:
             mults = [h0_mult_on_split(L0, BiForm.variable(fld, x), (d - 1, d - 1)) for x in X_FORMS]
-            carried = hstack([mul @ below for mul in mults])
-            known = list(ker.solve_matrix(carried).columns())
-        reps, _proj = quotient_data(fld, ker.cols, known)
+            known = ker.solve_matrix(hstack([mul @ below for mul in mults]))
+        reps, _proj = quotient_data(known)
         rel_cols.extend((d, ker @ vec) for vec in reps.columns())
         below = ker
     L1: SplitBundle = tuple((-d, -d) for d, _ in rel_cols)

@@ -49,7 +49,7 @@ def random_module(field, rng, dims: dict[int, int]) -> FinLengthModule:
             if guard > 500:
                 raise ValueError("random module generation stalled")
         kill[d] = span_basis(field, killed, amb)
-        r, p = quotient_data(field, amb, list(kill[d].columns()))
+        r, p = quotient_data(kill[d])
         reps[d], proj[d] = r, p
         got[d] = r.cols
     for d, n in dims.items():

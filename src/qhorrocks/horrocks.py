@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import FieldMismatch, Matrix, NoSolution, QhorrocksError, preimage_basis, quotient_data, span_basis, subspace_equal
+from .exactla import FieldMismatch, Matrix, NoSolution, QhorrocksError, hstack, preimage_basis, quotient_data, span_basis, subspace_equal
 from .bipoly import BiForm
 from .linecoh import (
     FormMatrix,
@@ -286,7 +286,7 @@ def _kernel_subspaces(rep: KerPresentation, fam: dict, rho: FormMatrix, side: in
         e = spinor_shift(side, d)
         img = induced_h(rep.g, 0, e).column_space_basis()
         pre = preimage_basis(induced_h(rho, 0, e), img)
-        basis = span_basis(rep.field, [model.proj @ c for c in pre.columns()], model.dim)
+        basis = (model.proj @ pre).column_space_basis()
         if basis.cols:
             out[d] = basis
     return out
@@ -311,8 +311,7 @@ def _transported_images(monad: MonadPresentation, fam: dict, rho: FormMatrix, si
         tau = monad.fbar.h1_model(e).proj @ (induced_h(rho, 0, e) @ model.reps)
         if tau.rows != tau.cols or tau.rank() != tau.rows:
             raise InternalInvariantViolation("comparison map is not an isomorphism on a companion piece")
-        coords = tau.solve_matrix(span)
-        out[d] = span_basis(monad.field, list(coords.columns()), model.dim)
+        out[d] = tau.solve_matrix(span).column_space_basis()
     return out
 
 
@@ -378,15 +377,13 @@ def _free_closure_rows(theta: FormMatrix) -> FormMatrix:
     fmin, fmax = min(firsts), max(firsts)
     twists, columns = [], []
     for f in range(fmin, fmax + 1):
-        amb = split_h(dual.dst, (f, f))[0]
-        killed = list(induced_h(dual, 0, (f, f)).columns())
+        killed = [induced_h(dual, 0, (f, f))]
         if f > fmin:
             # the previous degree is fully covered, so its image under the
             # four coordinate multiplications joins the killed span
             for name in ("x0", "x1", "x2", "x3"):
-                mul = h0_mult_on_split(dual.dst, BiForm.variable(fld, name), (f - 1, f - 1))
-                killed.extend(list(mul.columns()))
-        reps, _proj = quotient_data(fld, amb, killed)
+                killed.append(h0_mult_on_split(dual.dst, BiForm.variable(fld, name), (f - 1, f - 1)))
+        reps, _proj = quotient_data(hstack(killed))
         for vec in reps.columns():
             twists.append((-f, -f))
             columns.append(vec)
@@ -463,36 +460,36 @@ def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matr
     return FormMatrix.from_sections(t1.module.field, t1.pres.L0, t2.pres.L0, sections)
 
 
+def _companion_map(phi0: FormMatrix, fam1: dict, fam2: dict, side: int, d: int) -> Matrix:
+    """The map phi0 induces from one companion piece at degree d to the other, in coker-model coordinates."""
+    return fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
+
+
 def _subspace_constrained_basis(t1, t2, basis, layout):
-    """Basis of commuting maps whose induced action maps W1 into W2, V1 into V2."""
+    """Basis of commuting maps whose induced action maps W1 into W2, V1 into V2.
+
+    A map qualifies when, on every piece where W1 or V1 is nonzero, the
+    projection killing W2 or V2 kills the image; those projections depend
+    only on the triples, so each is built once for all basis maps.
+    """
     fld = t1.module.field
+    checks = []  # (side, d, families, the W1 or V1 basis at d, the projection killing t2's subspace there)
+    for side in (1, 2):
+        (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
+        for d in sorted(sub1):
+            if sub1[d].cols == 0 or d not in fam2:
+                continue  # nothing to carry, or the image lies in a zero piece of t2's companion module
+            _, kill = quotient_data(sub2.get(d, Matrix.zeros(fld, fam2[d].dim, 0)))
+            checks.append((side, d, fam1, fam2, sub1[d], kill))
+    if not checks:
+        return list(basis)
     constraint_cols = []
     for b in basis:
-        maps = _vec_to_maps(fld, b, layout)
-        phi0 = _phi0_from_maps(t1, t2, maps)
-        entries = []
-        for side in (1, 2):
-            (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
-            for d in sorted(sub1):
-                if sub1[d].cols == 0:
-                    continue
-                if d not in fam2:
-                    continue  # the image lies in a zero piece of t2's companion module
-                induced = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
-                image = induced @ sub1[d]
-                b2 = sub2.get(d)
-                _, kill = quotient_data(fld, fam2[d].dim, list(b2.columns()) if b2 is not None else [])
-                entries.append((kill @ image).a.reshape(-1))
-        if entries:
-            constraint_cols.append(np.concatenate(entries))
-        else:
-            constraint_cols.append(fld.zeros(0, 1)[:, 0])
-    if constraint_cols and constraint_cols[0].shape[0]:
-        cmat = Matrix.from_columns(fld, constraint_cols)
-        coeffs = cmat.kernel_basis()
-    else:
-        coeffs = list(Matrix.identity(fld, len(basis)).columns())
-    return list((Matrix.from_columns(fld, basis) @ Matrix.from_columns(fld, coeffs, rows_dim=len(basis))).columns())
+        phi0 = _phi0_from_maps(t1, t2, _vec_to_maps(fld, b, layout))
+        entries = [(kill @ (_companion_map(phi0, fam1, fam2, side, d) @ sub)).a.reshape(-1) for side, d, fam1, fam2, sub, kill in checks]
+        constraint_cols.append(np.concatenate(entries))
+    coeffs = Matrix.from_columns(fld, constraint_cols).kernel_matrix()
+    return list((Matrix.from_columns(fld, basis) @ coeffs).columns())
 
 
 def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]):
@@ -507,23 +504,15 @@ def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, 
         (fam1, sub1), (fam2, sub2) = _side(t1, side), _side(t2, side)
         for d in sorted(set(fam1) | set(fam2)):
             dim1 = fam1[d].dim if d in fam1 else 0
-            dim2 = fam2[d].dim if d in fam2 else 0
-            if dim1 != dim2:
+            if dim1 != (fam2[d].dim if d in fam2 else 0):
                 return None
             if dim1 == 0:
                 continue
-            induced = fam2[d].proj @ (induced_h(phi0, 0, spinor_shift(side, d)) @ fam1[d].reps)
+            induced = _companion_map(phi0, fam1, fam2, side, d)
             if induced.rank() != dim1:
                 return None
-            b1 = sub1.get(d)
-            b2 = sub2.get(d)
-            n1 = b1.cols if b1 is not None else 0
-            n2 = b2.cols if b2 is not None else 0
-            if n1 != n2:
-                return None
-            if n1 == 0:
-                continue
-            if not subspace_equal(induced @ b1, b2):
+            b1, b2 = (sub.get(d, Matrix.zeros(phi0.field, dim1, 0)) for sub in (sub1, sub2))
+            if b1.cols != b2.cols or (b1.cols and not subspace_equal(induced @ b1, b2)):
                 return None
     return phi0, phi1
 

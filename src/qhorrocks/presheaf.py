@@ -250,7 +250,7 @@ def _coker_data(field, rows: int, rank: int, span) -> tuple[Matrix, Matrix]:
     """quotient_data of the column span of the matrix span() of that rank; not built when the rank fills it."""
     if rank == rows:
         return Matrix.zeros(field, rows, 0), Matrix.zeros(field, 0, rows)
-    return quotient_data(field, rows, list(span().columns()))
+    return quotient_data(span())
 
 
 def support_window(dim_at, start: int, settled: int, what: str) -> tuple[int, int]:

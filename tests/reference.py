@@ -13,7 +13,8 @@ import itertools
 import numpy as np
 
 from qhorrocks.bipoly import BiForm, deg_add
-from qhorrocks.exactla import Matrix, NoSolution
+from qhorrocks import exactla
+from qhorrocks.exactla import Matrix, NoSolution, hstack
 from qhorrocks.linecoh import FormMatrix, coh_basis, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
 from qhorrocks.presheaf import (
     InternalInvariantViolation,
@@ -168,6 +169,17 @@ def random_matrix(field, rng, rows: int, cols: int) -> Matrix:
         for j in range(cols):
             a[i, j] = field.random_scalar(rng)
     return Matrix(field, a)
+
+
+def augmented_solve(m: Matrix, rhs: Matrix) -> Matrix:
+    """m @ X = rhs read out of one elimination of [m | rhs], free variables zero; NoSolution when a pivot lands in rhs."""
+    r, pivots = exactla._rref(m.field, hstack([m, rhs]).a)
+    x = m.field.zeros(m.cols, rhs.cols)
+    for i, pc in enumerate(pivots):
+        if pc >= m.cols:
+            raise NoSolution("rhs outside column space")
+        x[pc, :] = r[i, m.cols :]
+    return Matrix(m.field, x)
 
 
 def monad_h1_h2_by_h2_model(monad, e) -> tuple[int, int]:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qhorrocks import exactla
 from qhorrocks.exactla import (
@@ -22,7 +22,7 @@ from qhorrocks.exactla import (
     span_basis,
     subspace_equal,
 )
-from reference import random_matrix
+from reference import augmented_solve, random_matrix
 
 F = PrimeField(DEFAULT_PRIME)
 Q = RationalField()
@@ -121,20 +121,19 @@ def test_rank_nullity_random():
 
 
 def test_quotient_trivial_subspace():
-    reps, proj = quotient_data(F, 3, [])
+    reps, proj = quotient_data(Matrix.zeros(F, 3, 0))
     assert proj == Matrix.identity(F, 3)
     assert reps == Matrix.identity(F, 3)
 
 
 def test_quotient_full_subspace():
-    vecs = list(Matrix.identity(F, 2).columns())
-    reps, proj = quotient_data(F, 2, vecs)
+    reps, proj = quotient_data(Matrix.identity(F, 2))
     assert proj.rows == 0 and reps.cols == 0
 
 
 def test_quotient_kills_subspace():
     v = F.array([[1], [1], [0]])[:, 0]
-    reps, proj = quotient_data(F, 3, [v])
+    reps, proj = quotient_data(Matrix.from_columns(F, [v]))
     assert proj.rows == 2
     assert np.all((proj @ v) == 0)
     # projection of the coset representatives is the identity
@@ -144,7 +143,7 @@ def test_quotient_kills_subspace():
 
 def test_quotient_over_rationals():
     v = Q.array([[1], [2]])[:, 0]
-    reps, proj = quotient_data(Q, 2, [v])
+    reps, proj = quotient_data(Matrix.from_columns(Q, [v]))
     assert proj.rows == 1
     assert np.all(proj @ v == 0)
 
@@ -283,7 +282,7 @@ def test_kernel_and_quotient_read_out_the_reference_basis(m):
     want = [[m.field.scalar(x) for x in v] for v in reference_kernel(m)]
     assert [list(v) for v in m.kernel_basis()] == want
     # the rows of m span the subspace, so the projection's rows are its kernel basis
-    _reps, proj = quotient_data(m.field, m.cols, list(m.a))
+    _reps, proj = quotient_data(Matrix(m.field, m.a.T))
     assert [list(row) for row in proj.a] == want
 
 
@@ -291,7 +290,7 @@ def test_kernel_and_quotient_read_out_the_reference_basis(m):
 @given(matrices())
 def test_quotient_projection_inverts_reps_and_kills_the_subspace(m):
     # the subspace is the column span of m inside an ambient space of dimension m.rows
-    reps, proj = quotient_data(m.field, m.rows, list(m.columns()))
+    reps, proj = quotient_data(m)
     assert reps.cols == m.rows - m.rank()
     assert proj @ reps == Matrix.identity(m.field, reps.cols)
     assert (proj @ m).is_zero()
@@ -326,6 +325,65 @@ def test_multi_column_solve_matches_per_column_solve(m, data):
     sol = m.solve_matrix(rhs)
     for j in range(k):
         assert np.all(sol.col(j) == per_column[j])
+
+
+def reference_solve(m, rhs):
+    """Reference read-out of [m | rhs]: None when a pivot lands in rhs, else pivot variable i from row i and free variables 0."""
+    rows, pivots = reference_rref(m.field, np.concatenate([m.a, rhs.a], axis=1))
+    if any(c >= m.cols for c in pivots):
+        return None
+    x = [[m.field.scalar(0)] * rhs.cols for _ in range(m.cols)]
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][m.cols :]
+    return x
+
+
+@READOUTS
+@given(matrices(), st.data())
+def test_solve_reads_out_the_reference_rref_of_the_augmented_matrix(m, data):
+    # several right-hand sides against one Matrix, all served by the transform of its first solve
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, 3))
+        if data.draw(st.booleans()):
+            rhs = m @ data.draw(matrices(m.field, m.cols, k))
+        else:
+            rhs = data.draw(matrices(m.field, m.rows, k))
+        want = reference_solve(m, rhs)
+        if want is None:
+            with pytest.raises(NoSolution):
+                m.solve_matrix(rhs)
+            with pytest.raises(NoSolution):
+                augmented_solve(m, rhs)
+        else:
+            assert m.solve_matrix(rhs).a.tolist() == want
+            assert augmented_solve(m, rhs).a.tolist() == want
+
+
+@READOUTS
+@given(st.data())
+def test_rational_products_match_the_dense_object_product(data):
+    # RationalField.matmul forms the products of nonzero entries only; numpy's object matmul forms them all
+    k = data.draw(st.integers(0, 12))
+    a, b = data.draw(matrices(Q, cols=k)), data.draw(matrices(Q, rows=k))
+    want = a.a @ b.a if k else Q.zeros(a.rows, b.cols)
+    assert Q.matmul(a.a, b.a).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("field", [F, Q], ids=lambda f: f.name)
+def test_one_elimination_serves_every_solve_and_kernel_read_out(field, monkeypatch):
+    rng = random.Random(12)
+    m = random_matrix(field, rng, 6, 4) @ random_matrix(field, rng, 4, 9)
+    calls = []
+    rref = exactla._rref
+    monkeypatch.setattr(exactla, "_rref", lambda f, a, **kw: calls.append(a.shape) or rref(f, a, **kw))
+    for _ in range(5):
+        rhs = m @ random_matrix(field, rng, 9, 2)
+        assert m @ m.solve_matrix(rhs) == rhs
+        assert np.all(m @ m.solve(rhs.col(0)) == rhs.col(0))
+        with pytest.raises(NoSolution):
+            m.solve_matrix(random_matrix(field, rng, 6, 1))  # rank 4 of 6: a random column is outside
+    assert m.rank() + len(m.kernel_basis()) == 9
+    assert calls == [(6, 6 + 9)]  # [m | I], once
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +488,8 @@ def wide_sparse_arrays(draw):
     return field, a
 
 
-@settings(max_examples=120, deadline=None)
+# no shrink phase: each example runs reference_rref on up to 40 x 80 entries, so shrinking a failure takes minutes
+@settings(max_examples=120, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(wide_sparse_arrays(), st.sampled_from([0, 4, 32, 256, exactla.SPARSE_UPDATE_LIMIT]))
 def test_sparse_elimination_and_its_dense_tail_match_the_reference(fa, limit):
     # a lower limit moves the switch to the dense tail to an earlier column (0: the first pivot column
@@ -486,6 +545,21 @@ def test_dense_tail_takes_over_after_sparse_pivots(field, monkeypatch):
     assert switches == ([(5, 5, True), (5, 5, False)] if field.p else [])
 
 
+def test_dense_input_goes_straight_to_the_dense_loop(monkeypatch):
+    # every row hits the first column with about 300 nonzeros, so the first update is priced past
+    # SPARSE_UPDATE_LIMIT from the nonzero pattern and no row dict is built; rank 30 keeps the reference quick
+    rng = random.Random(8)
+    a = (random_matrix(F, rng, 300, 30) @ random_matrix(F, rng, 30, 300)).a
+    rows, pivots = reference_rref(F, a)
+    switches = []
+    dense = exactla._rref_dense
+    monkeypatch.setattr(exactla, "_rref_dense", lambda f, b, start, piv, reduced: switches.append((start, len(piv), reduced)) or dense(f, b, start, piv, reduced))
+    monkeypatch.setattr(exactla, "_rows_array", None)
+    r, got = _rref(F, a)
+    assert got == tuple(pivots) and r.tolist() == rows
+    assert switches == [(0, 0, True)]
+
+
 # ---------------------------------------------------------------------------
 # frozen arrays and the remembered rank
 
@@ -517,5 +591,5 @@ def test_matrix_arrays_are_frozen_and_read_outs_still_work(field):
     rhs = m @ x
     assert m @ m.solve_matrix(rhs) == rhs
     assert m.column_space_basis().cols == 2
-    reps, proj = quotient_data(field, 3, list(m.a.T))  # read-only column views
+    reps, proj = quotient_data(m)  # a read-only array
     assert reps.cols == 1 and (proj @ m).is_zero()

@@ -248,7 +248,7 @@ def _quotient_module(rng, target_dims, F=F):
                 if guard > 200:
                     raise RuntimeError("random module construction stalled")
         kill[d] = span_basis(F, killed, amb)
-        r, p = quotient_data(F, amb, list(kill[d].columns()))
+        r, p = quotient_data(kill[d])
         reps[d], proj[d] = r, p
         dims[d] = r.cols
     ops = {}

@@ -24,6 +24,7 @@ from qhorrocks.horrocks import (
     synthesize,
     triple_iso,
 )
+from reference import augmented_solve
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -343,6 +344,23 @@ ROUNDTRIP_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" 
 @pytest.mark.parametrize("name", sorted(f.name for f in ROUNDTRIP_CORPUS.glob("*.monad")))
 def test_the_comparison_lifts_over_ker_psi_on_corpus_monads(name):
     _assert_the_comparison_lifts(textio.parse_bundle_text((ROUNDTRIP_CORPUS / name).read_text()))
+
+
+def _corpus_witness(name):
+    report = roundtrip(textio.parse_triple_text((ROUNDTRIP_CORPUS / name).read_text()), rng=random.Random(7))
+    assert report.ok, (name, report.notes)
+    return report.witness
+
+
+@pytest.mark.parametrize("name", sorted(f.name for f in ROUNDTRIP_CORPUS.glob("*.triple"))[:4])
+def test_witness_is_the_one_the_augmented_solve_finds(name, monkeypatch):
+    # every solve reads a cached transform; the RREF is unique, so the witness equals the one found by
+    # eliminating [A | B] afresh on every solve, with the same rng draws
+    got = _corpus_witness(name)
+    monkeypatch.setattr(Matrix, "solve_matrix", augmented_solve)
+    want = _corpus_witness(name)
+    assert got.maps == want.maps and got.trials_used == want.trials_used
+    assert got.phi0 == want.phi0 and got.phi1 == want.phi1
 
 
 # ---------------------------------------------------------------------------
