@@ -31,10 +31,10 @@ from .presheaf import (
     strip_acm,
 )
 from .flmod import (
+    CompanionModules,
     FinLengthModule,
     InvalidModule,
     MinimalPresentation,
-    TriDiagModule,
     minimal_generators,
     minimal_presentation,
     module_from_bundle,

@@ -16,9 +16,9 @@ section ring of O(1,1) is generated in degree one.  (This is the elementary
 form of the fact that the first syzygies of a finite-length module sit at
 most one degree above its top degree.)  The bound is then checked by
 recomputing the cokernel.  Sheafifying the presentation gives the associated
-bundle F with H1 module M, from which the two spinor-twisted companion
-modules and their socles are computed through the coker models of the
-presentation.
+bundle F with H1 module M.  Of its two spinor-twisted companion modules
+only what the triple reads is kept: the coker models of the presentation on
+each side, and the two operators per piece whose common kernel is the socle.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .exactla import FieldMismatch, Matrix, QhorrocksError, hstack, quotient_data
 from .bipoly import BiForm, monomial_basis
-from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, split_h
+from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, spinor_shift, split_h
 from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed, support_window
 
 
@@ -239,7 +239,6 @@ class ModelledModule:
 
     module: FinLengthModule
     models: dict[int, CokerModel]
-    source: object
 
 
 def module_from_bundle(rep) -> ModelledModule:
@@ -260,7 +259,7 @@ def module_from_bundle(rep) -> ModelledModule:
         kp = rep
     lo, hi = kp.h1_diagonal_support()
     if hi < lo:
-        return ModelledModule(FinLengthModule(fld, {}, {}), {}, rep)
+        return ModelledModule(FinLengthModule(fld, {}, {}), {})
     if isinstance(rep, MonadPresentation):
         for d in range(lo, hi + 1):
             if split_h(rep.K, (d, d))[1] and rep.h1k_map((d, d)).cols:
@@ -279,54 +278,31 @@ def module_from_bundle(rep) -> ModelledModule:
             ops[(k, d)] = kp.mult_model(f, (d, d))
     mod = FinLengthModule(fld, dims, ops)
     mod.validate()
-    return ModelledModule(mod, models, rep)
+    return ModelledModule(mod, models)
 
 
 # ---------------------------------------------------------------------------
 # spinor companion modules
 
 
-@dataclass
-class TriDiagModule:
-    """The diagonal module plus its two spinor-shifted companions and cross actions.
+# side -> the variable pair whose common kernel is the socle of that companion module
+KILLERS = {1: ("u", "v"), 2: ("s", "t")}
 
-    m10[d] models H1(F x O(1,0) twisted by d), m01[d] the O(0,1) mirror, and
-    m00[d] the diagonal piece.  Cross operators follow the variable bidegrees:
-    s, t map m00 -> m10 and m01 -> m00(+1); u, v map m00 -> m01 and m10 -> m00(+1).
+
+@dataclass
+class CompanionModules:
+    """The two spinor-twisted companion modules of the bundle F of a presentation.
+
+    fam[side][d] is the coker model of H1(F(spinor_shift(side, d))), kept
+    only where it is nonzero: side 1 is the O(1,0) twist, side 2 the O(0,1)
+    twist.  kill[side][d] holds the two operators KILLERS[side] out of that
+    piece into H1(F(d+1, d+1)), in coker-model coordinates; their common
+    kernel is the socle.
     """
 
     pres: MinimalPresentation
-    m00: dict[int, CokerModel]
-    m10: dict[int, CokerModel]
-    m01: dict[int, CokerModel]
-    ops: dict[tuple[str, str, int], Matrix]
-    diag_iso: dict[int, Matrix]  # m00 model coords -> the module's own coordinates
-
-    def dim10(self, d):
-        return self.m10[d].dim if d in self.m10 else 0
-
-    def dim01(self, d):
-        return self.m01[d].dim if d in self.m01 else 0
-
-    def op(self, var: str, family: str, d: int) -> Matrix:
-        key = (var, family, d)
-        if key in self.ops:
-            return self.ops[key]
-        src, dst = _op_shapes(self, var, family, d)
-        return Matrix.zeros(self.pres.module.field, dst, src)
-
-
-def _op_shapes(t: TriDiagModule, var: str, family: str, d: int):
-    if family == "00":
-        src = t.m00[d].dim if d in t.m00 else 0
-        dst = t.dim10(d) if var in ("s", "t") else t.dim01(d)
-    elif family == "10":
-        src = t.dim10(d)
-        dst = t.m00[d + 1].dim if d + 1 in t.m00 else 0
-    else:
-        src = t.dim01(d)
-        dst = t.m00[d + 1].dim if d + 1 in t.m00 else 0
-    return src, dst
+    fam: dict[int, dict[int, CokerModel]]
+    kill: dict[int, dict[int, tuple[Matrix, Matrix]]]
 
 
 def _spinor_support(pres: MinimalPresentation) -> tuple[int, int]:
@@ -347,60 +323,38 @@ def _spinor_support(pres: MinimalPresentation) -> tuple[int, int]:
     return support_window(both, min(gen_degs), max(gen_degs), "spinor-twisted module")
 
 
-def sigma_modules(pres: MinimalPresentation) -> TriDiagModule:
+def sigma_modules(pres: MinimalPresentation) -> CompanionModules:
     """Companion modules of the associated bundle at the two spinor shifts.
 
     The presentation has free source and target, so every required vanishing
-    holds and all three families live in coker models of one presentation.
+    holds and both families live in coker models of one presentation.
     Support windows are scanned from the twist data and verified to close.
     """
     fld = pres.module.field
     kp = pres.F
-    m00 = {}
-    diag_iso = {}
-    for d in pres.module.support():
-        model = kp.h1_model((d, d))
-        m00[d] = model
-        diag_iso[d] = pres.pi_at(d) @ model.reps
-    m10 = {}
-    m01 = {}
     lo, hi = _spinor_support(pres)
-    for d in range(lo, hi + 1):
-        model = kp.h1_model((d + 1, d))
-        if model.dim:
-            m10[d] = model
-        model = kp.h1_model((d, d + 1))
-        if model.dim:
-            m01[d] = model
-    ops = {}
-    forms = {v: BiForm.variable(fld, v) for v in "stuv"}
-    for d in m00:
-        ops[("s", "00", d)] = kp.mult_model(forms["s"], (d, d))
-        ops[("t", "00", d)] = kp.mult_model(forms["t"], (d, d))
-        ops[("u", "00", d)] = kp.mult_model(forms["u"], (d, d))
-        ops[("v", "00", d)] = kp.mult_model(forms["v"], (d, d))
-    for d in m10:
-        ops[("u", "10", d)] = kp.mult_model(forms["u"], (d + 1, d))
-        ops[("v", "10", d)] = kp.mult_model(forms["v"], (d + 1, d))
-    for d in m01:
-        ops[("s", "01", d)] = kp.mult_model(forms["s"], (d, d + 1))
-        ops[("t", "01", d)] = kp.mult_model(forms["t"], (d, d + 1))
-    return TriDiagModule(pres, m00, m10, m01, ops, diag_iso)
+    fam, kill = {1: {}, 2: {}}, {1: {}, 2: {}}
+    for side in (1, 2):
+        forms = [BiForm.variable(fld, v) for v in KILLERS[side]]
+        for d in range(lo, hi + 1):
+            e = spinor_shift(side, d)
+            model = kp.h1_model(e)
+            if model.dim:
+                fam[side][d] = model
+                kill[side][d] = tuple(kp.mult_model(f, e) for f in forms)
+    return CompanionModules(pres, fam, kill)
 
 
-def socle_subspace(t: TriDiagModule, which: str) -> dict[int, Matrix]:
-    """Kernel of the opposite variable pair on one spinor family, per degree.
+def socle_subspace(t: CompanionModules, side: int) -> dict[int, Matrix]:
+    """Per degree: the classes of one companion module killed by both of its operators.
 
-    which = "m10": elements of the O(1,0)-shifted family killed by u and v.
-    which = "m01": elements of the O(0,1)-shifted family killed by s and t.
+    Side 1: the O(1,0)-shifted family killed by u and v; side 2: the
+    O(0,1)-shifted family killed by s and t.
     """
     fld = t.pres.module.field
     out = {}
-    fam = t.m10 if which == "m10" else t.m01
-    pair = ("u", "v") if which == "m10" else ("s", "t")
-    for d, model in fam.items():
-        stacked = np.concatenate([t.op(pair[0], which[1:], d).a, t.op(pair[1], which[1:], d).a], axis=0)
-        basis = Matrix(fld, stacked).kernel_matrix()
+    for d, pair in t.kill[side].items():
+        basis = Matrix(fld, np.concatenate([op.a for op in pair], axis=0)).kernel_matrix()
         if basis.cols:
             out[d] = basis
     return out

@@ -70,8 +70,9 @@ def random_triple(field, rng, dims: dict[int, int]) -> HorrocksTriple:
     pres = minimal_presentation(m)
     t = sigma_modules(pres)
     triple = HorrocksTriple(pres, t, {}, {})
-    for which, fam, sub in (("m10", t.m10, triple.W), ("m01", t.m01, triple.V)):
-        for d, basis in socle_subspace(t, which).items():
+    for side, sub in ((1, triple.W), (2, triple.V)):
+        fam = t.fam[side]
+        for d, basis in socle_subspace(t, side).items():
             take = rng.randrange(0, basis.cols + 1)
             vecs = [basis @ [field.random_scalar(rng) for _ in range(basis.cols)] for _ in range(take)]
             span = span_basis(field, vecs, fam[d].dim)

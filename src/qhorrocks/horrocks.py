@@ -62,7 +62,8 @@ from .flmod import (
     FinLengthModule,
     MinimalPresentation,
     ModelledModule,
-    TriDiagModule,
+    KILLERS,
+    CompanionModules,
     _check_trials,
     _commuting_space,
     _sample_iso,
@@ -101,13 +102,14 @@ class ExactnessViolation(QhorrocksError, AssertionError):
 class HorrocksTriple:
     """(M, W, V) in the canonical coordinates of M's minimal presentation.
 
-    W maps companion degree m to a matrix whose columns span the chosen
-    subspace of the O(1,0)-companion piece there, in its coker-model
-    coordinates; V likewise for the O(0,1) side.
+    T holds the two companion modules of the presentation: T.fam[1] the
+    O(1,0) side, T.fam[2] the O(0,1) side.  W maps companion degree m to a
+    matrix whose columns span the chosen subspace of the side-1 piece there,
+    in its coker-model coordinates; V likewise for side 2.
     """
 
     pres: MinimalPresentation
-    T: TriDiagModule
+    T: CompanionModules
     W: dict[int, Matrix]
     V: dict[int, Matrix]
 
@@ -129,13 +131,13 @@ class HorrocksTriple:
         return triple.validate()
 
     def validate(self) -> "HorrocksTriple":
-        for side, name, code, killers in ((1, "W", "10", ("u", "v")), (2, "V", "01", ("s", "t"))):
+        for side, name in ((1, "W"), (2, "V")):
             fam, sub = _side(self, side)
             for d, basis in sub.items():
                 if d not in fam and basis.cols:
                     raise ValueError(f"{name} touches the empty companion degree {d}")
-                for var in killers:
-                    if not (self.T.op(var, code, d) @ basis).is_zero():
+                for var, op in zip(KILLERS[side], self.T.kill[side].get(d, ())):
+                    if not (op @ basis).is_zero():
                         raise ValueError(f"{name} at degree {d} is not killed by {var}")
         return self
 
@@ -158,8 +160,8 @@ class HorrocksTriple:
 
 
 def _side(triple: HorrocksTriple, side: int) -> tuple[dict, dict[int, Matrix]]:
-    """Companion family and chosen subspace of spinor side 1 (m10, W) or side 2 (m01, V)."""
-    return (triple.T.m10, triple.W) if side == 1 else (triple.T.m01, triple.V)
+    """Companion family and chosen subspace of spinor side 1 (W) or side 2 (V)."""
+    return triple.T.fam[side], (triple.W if side == 1 else triple.V)
 
 
 def _dims_str(sub: dict[int, Matrix]) -> str:
@@ -228,12 +230,6 @@ def _rho_from_generators(pres: MinimalPresentation, mm: ModelledModule, target: 
     return FormMatrix.from_sections(pres.module.field, pres.L0, target, sections)
 
 
-def _assert_stripped(rep: KerPresentation):
-    found = find_acm_summand(rep)
-    if found is not None:
-        raise NotMinimalGamma(f"presentation still splits off O{found[0]}; strip it first")
-
-
 @dataclass
 class Extraction:
     triple: HorrocksTriple
@@ -241,10 +237,11 @@ class Extraction:
     rho: FormMatrix
 
 
-def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
+def extract_invariants(rep) -> Extraction:
     """The invariant triple of a presented bundle without ACM summands.
 
-    Kernel presentations must have an ACM middle term.  The subspaces come
+    Kernel presentations must have an ACM middle term and split off no ACM
+    line bundle (strip them with `strip_acm` first).  The subspaces come
     out in the canonical coordinates of the module's own minimal
     presentation, so two bundles can be compared by comparing triples.
     Only the subspace step depends on the input: the kernel of the
@@ -264,8 +261,9 @@ def extract_invariants(rep, check_stripped: bool = True) -> Extraction:
     if not monad:
         if not all(is_acm_twist(t) for t in rep.A):
             raise NotGammaForm(f"middle twists {list(rep.A)} are not all ACM")
-        if check_stripped:
-            _assert_stripped(rep)
+        found = find_acm_summand(rep)
+        if found is not None:
+            raise NotMinimalGamma(f"presentation still splits off O{found[0]}; strip it first")
     mm = module_from_bundle(rep)
     pres = minimal_presentation(mm.module)
     triple = HorrocksTriple(pres, sigma_modules(pres), {}, {})

@@ -102,9 +102,8 @@ class CokerModel:
 class KerPresentation:
     """E = ker(g: A -> B) for a sheaf-surjective map of split bundles.
 
-    gamma_form is true when every twist of A is ACM and every twist of B is
-    free; then H1 of A vanishes in all diagonal twists and the coker model
-    of H1(E) exists everywhere it is nonzero.
+    Where H1 of A vanishes (at every diagonal twist when A is ACM), H1 of E
+    is the cokernel of H0(g), and `h1_model` gives it as a coker model.
     """
 
     def __init__(self, g: FormMatrix, verify: bool = True):
@@ -113,7 +112,6 @@ class KerPresentation:
         self.A: SplitBundle = g.src
         self.B: SplitBundle = g.dst
         self.rank = len(self.A) - len(self.B)
-        self.gamma_form = all(is_acm_twist(t) for t in self.A) and all(is_free_twist(t) for t in self.B)
         self._cache: dict = {}
         if verify and not (rep := self.onto).surjective:
             raise NotSurjective(f"not onto: section cokernel of dimension {rep.coker_dim} at twist {rep.twist}")

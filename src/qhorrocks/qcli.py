@@ -208,11 +208,16 @@ def cmd_stability(args) -> int:
 
 
 def _parse_dims(spec: str) -> dict[int, int]:
-    out = {}
+    given = {}
     for chunk in spec.split(","):
-        n, d = chunk.strip().split("@")
-        if int(n):
-            out[int(d)] = int(n)
+        match = re.fullmatch(r"\s*([+-]?\d+)@([+-]?\d+)\s*", chunk)
+        if match is None:
+            raise CliError(f"invalid --dims chunk {chunk!r}: expected n@d with integers n and d", 2)
+        n, d = int(match[1]), int(match[2])
+        if d in given:
+            raise CliError(f"--dims chunk {chunk!r} repeats degree {d}", 2)
+        given[d] = n
+    out = {d: n for d, n in given.items() if n}
     if not out:
         raise CliError("empty dimension specification", 2)
     return out

@@ -74,8 +74,7 @@ def test_criterion_03_minimal_presentation_of_k():
     entries = sorted(str(pres.psi.entries[0][j]) for j in range(4))
     assert entries == ["s*u", "s*v", "t*u", "t*v"]
     t = sigma_modules(pres)
-    assert {d: t.dim10(d) for d in t.m10} == {0: 2}
-    assert {d: t.dim01(d) for d in t.m01} == {0: 2}
+    assert {side: {d: model.dim for d, model in t.fam[side].items()} for side in (1, 2)} == {1: {0: 2}, 2: {0: 2}}
     _ok(3, "minimal presentation of k and its companion modules")
 
 
@@ -101,7 +100,7 @@ def test_criterion_05_synthesis_matches_unbalanced_line_bundle():
     m = FinLengthModule(F, {0: 1}, {})
     pres = minimal_presentation(m)
     t = sigma_modules(pres)
-    soc = socle_subspace(t, "m10")
+    soc = socle_subspace(t, 1)
     triple = HorrocksTriple.build(m, {0: list(soc[0].columns())}, {})
     monad = synthesize(triple, rng=random.Random(55))
     assert monad.rank == 1
@@ -169,7 +168,7 @@ def test_criterion_07_four_term_exactness():
     rng = random.Random(2024)
     for k in range(25):
         p = _random_gamma_bundle(rng)
-        ext = extract_invariants(p, check_stripped=False)
+        ext = extract_invariants(p)
         four_term_check(p, ext)
     _ok(7, "four-term alternating sums vanish on fixtures and 25 random bundles")
 

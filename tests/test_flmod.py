@@ -7,7 +7,7 @@ import pytest
 from qhorrocks.exactla import DEFAULT_PRIME, FieldMismatch, Matrix, PrimeField, RationalField
 from qhorrocks import textio
 from qhorrocks.bipoly import BiForm, parse_biform
-from qhorrocks.linecoh import FormMatrix
+from qhorrocks.linecoh import FormMatrix, spinor_shift
 from qhorrocks.presheaf import KerPresentation, MonadPresentation, PrereqVanishingFailed
 from qhorrocks.generate import random_module
 from qhorrocks.flmod import (
@@ -285,83 +285,102 @@ def test_module_from_bundle_free_is_zero():
     assert mm.module.is_zero
 
 
+def _companion_dims(t):
+    return {side: {d: model.dim for d, model in t.fam[side].items()} for side in (1, 2)}
+
+
 def test_sigma_modules_omega1():
     pres = minimal_presentation(k_module((0, 1)))
     t = sigma_modules(pres)
-    assert {d: t.dim10(d) for d in t.m10} == {0: 2}
-    assert {d: t.dim01(d) for d in t.m01} == {0: 2}
+    assert _companion_dims(t) == {1: {0: 2}, 2: {0: 2}}
 
 
 def test_sigma_modules_example2():
     pres = minimal_presentation(k_module((-1, 2)))
     t = sigma_modules(pres)
-    assert {d: t.dim10(d) for d in t.m10} == {-1: 4}
-    assert {d: t.dim01(d) for d in t.m01} == {-1: 4}
+    assert _companion_dims(t) == {1: {-1: 4}, 2: {-1: 4}}
 
 
 def test_sigma_modules_free_module():
     pres = minimal_presentation(k_module())
     t = sigma_modules(pres)
-    assert not t.m10 and not t.m01
+    assert _companion_dims(t) == {1: {}, 2: {}} and t.kill == {1: {}, 2: {}}
 
 
 def test_presentation_roundtrip_exact_through_canonical_iso():
     # the chosen surjection identifies the recomputed cokernel module with
-    # the input exactly: operators match through diag_iso on the nose
+    # the input exactly: operators match through pi on the coker-model
+    # representatives, on the nose
     m = _quotient_module(random.Random(17), {0: 2, 1: 3})
     pres = minimal_presentation(m)
-    t = sigma_modules(pres)
+    iso = {d: pres.pi_at(d) @ pres.F.h1_model((d, d)).reps for d in m.support()}
     mm = module_from_bundle(pres.F)
     for d in mm.module.support():
         if m.dim(d + 1) == 0:
             continue
         for k in range(4):
-            lhs = t.diag_iso[d + 1] @ mm.module.op(k, d)
-            rhs = m.op(k, d) @ t.diag_iso[d]
+            lhs = iso[d + 1] @ mm.module.op(k, d)
+            rhs = m.op(k, d) @ iso[d]
             assert lhs == rhs, (d, k)
 
 
 def test_sigma_cross_operators_compose_to_diagonal():
-    # s then u out of the diagonal equals the x0 operator, and friends
+    # s out of the diagonal, then u out of the O(1,0) companion, is x0, and
+    # friends; the diagonal operators are computed here from the presentation
     pres = minimal_presentation(_quotient_module(random.Random(5), {0: 2, 1: 2}))
     t = sigma_modules(pres)
-    mm = module_from_bundle(pres.F)
+    kp = pres.F
+    mm = module_from_bundle(kp)
+
+    def companion(side, k, d):
+        if d in t.kill[side]:
+            return t.kill[side][d][k]
+        assert kp.h1_model(spinor_shift(side, d)).dim == 0
+        return Matrix.zeros(F, kp.h1_model((d + 1, d + 1)).dim, 0)
+
+    def diagonal(var, d):
+        return kp.mult_model(BiForm.variable(F, var), (d, d))
+
     for d in mm.module.support():
-        x0 = mm.module.op(0, d)
-        via10 = t.op("u", "10", d) @ t.op("s", "00", d)
-        via01 = t.op("s", "01", d) @ t.op("u", "00", d)
-        assert via10 == x0
-        assert via01 == x0
-        x3 = mm.module.op(3, d)
-        assert (t.op("v", "10", d) @ t.op("t", "00", d)) == x3
+        x0, x3 = mm.module.op(0, d), mm.module.op(3, d)
+        assert companion(1, 0, d) @ diagonal("s", d) == x0
+        assert companion(2, 0, d) @ diagonal("u", d) == x0
+        assert companion(1, 1, d) @ diagonal("t", d) == x3
+        assert companion(2, 1, d) @ diagonal("v", d) == x3
 
 
 def test_socle_full_for_omega1():
     pres = minimal_presentation(k_module((0, 1)))
     t = sigma_modules(pres)
-    soc = socle_subspace(t, "m10")
+    soc = socle_subspace(t, 1)
     assert list(soc) == [0] and soc[0].cols == 2
-    soc2 = socle_subspace(t, "m01")
+    soc2 = socle_subspace(t, 2)
     assert list(soc2) == [0] and soc2[0].cols == 2
 
 
 def test_socle_example2_full():
     pres = minimal_presentation(k_module((-1, 2)))
     t = sigma_modules(pres)
-    soc = socle_subspace(t, "m10")
+    soc = socle_subspace(t, 1)
     assert soc[-1].cols == 4
 
 
-def test_socle_annihilation_property():
-    pres = minimal_presentation(_quotient_module(random.Random(7), {0: 2, 1: 3}))
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("F", PRESENTATION_FIELDS, ids=lambda f: f.name)
+def test_socle_annihilation_property(F, side):
+    # the socle is the whole common kernel of the two variables of the other
+    # factor, multiplied here straight from the presentation
+    _m, pres = _random_presented(F, {0: 2, 1: 3}, 7)
     t = sigma_modules(pres)
-    for which, pair in (("m10", ("u", "v")), ("m01", ("s", "t"))):
-        soc = socle_subspace(t, which)
-        fam = which[1:]
-        for d, basis in soc.items():
-            for var in pair:
-                img = t.op(var, fam, d) @ basis
-                assert img.is_zero()
+    soc = socle_subspace(t, side)
+    assert set(soc) <= set(t.fam[side])
+    for d, model in t.fam[side].items():
+        basis = soc.get(d, Matrix.zeros(F, model.dim, 0))
+        ops = [pres.F.mult_model(BiForm.variable(F, var), spinor_shift(side, d)) for var in ("uv" if side == 1 else "st")]
+        for op in ops:
+            assert (op @ basis).is_zero()
+        stacked = Matrix(F, np.concatenate([op.a for op in ops], axis=0))
+        assert basis.cols == model.dim - stacked.rank() == basis.rank()
 
 
 def test_module_iso_self():

@@ -129,7 +129,7 @@ def test_extract_lepotier():
     t = ext.triple
     assert {d: t.module.dim(d) for d in t.module.support()} == {-1: 2}
     assert t.w_dim(-1) == 2 and t.v_dim(-1) == 2
-    assert t.T.dim10(-1) == 4 and t.T.dim01(-1) == 4
+    assert t.T.fam[1][-1].dim == 4 and t.T.fam[2][-1].dim == 4
 
 
 def test_extract_refuses_unstripped():
@@ -156,17 +156,13 @@ def test_extract_agrees_after_stripping():
 def test_extract_free_bundle_trivial():
     p = KerPresentation(FormMatrix.zero(F, ((0, 0),), ()))
     stripped, removed = strip_acm(p)
-    ext = extract_invariants(stripped, check_stripped=False)
+    ext = extract_invariants(stripped)
     assert ext.triple.module.is_zero
 
 
 def test_triple_build_rejects_non_socle():
-    # in the Example 2 module the companion piece is 4-dimensional but only
-    # part of it is socle once we take a random非 vector? all of it is socle
-    # there, so use a module with a genuinely smaller socle: the [s,t,u]
-    # bundle's companion at degree 0 has nonzero u-action on some vectors
-    m = k_module((0, 2), (1, 1))
-    # build a valid module with operators: quotient construction
+    # the Example 2 companion piece is all socle, so take a random quotient
+    # module whose side-1 companion has classes that u or v does not kill
     from tests.test_flmod import _quotient_module
 
     mq = _quotient_module(random.Random(31), {0: 2, 1: 2})
@@ -174,16 +170,15 @@ def test_triple_build_rejects_non_socle():
     t = sigma_modules(pres)
     from qhorrocks.flmod import socle_subspace
 
-    soc = socle_subspace(t, "m10")
-    for d, model in t.m10.items():
+    soc = socle_subspace(t, 1)
+    for d, model in t.fam[1].items():
         if d not in soc or soc[d].cols < model.dim:
             # found a degree with a non-socle direction: pick a vector outside
             full = Matrix.identity(F, model.dim)
             bad = None
             for col in full.columns():
                 killed = all(
-                    (t.op(var, "10", d) @ Matrix.from_columns(F, [col], rows_dim=model.dim)).is_zero()
-                    for var in ("u", "v")
+                    (op @ Matrix.from_columns(F, [col], rows_dim=model.dim)).is_zero() for op in t.kill[1][d]
                 )
                 if not killed:
                     bad = col
@@ -263,6 +258,30 @@ def test_triple_iso_self_and_conjugate():
     assert triple_iso(ext.triple, ext.triple, trials=50, rng=random.Random(1)) is not None
 
 
+def test_validate_names_the_subspace_the_degree_and_the_variable():
+    from qhorrocks.generate import random_module
+
+    t = HorrocksTriple.build(random_module(F, random.Random(3), {0: 2, 1: 2}), {}, {})
+    with pytest.raises(ValueError, match=r"^W touches the empty companion degree 5$"):
+        HorrocksTriple(t.pres, t.T, {5: Matrix.identity(F, 1)}, {}).validate()
+    seen = set()
+    for side, name in ((1, "W"), (2, "V")):
+        for d, ops in t.T.kill[side].items():
+            dim = t.T.fam[side][d].dim
+            for k, var in enumerate("uv" if side == 1 else "st"):
+                # a class killed by the operator before var, but not by var
+                space = ops[0].kernel_matrix() if k else Matrix.identity(F, dim)
+                hit = [j for j, col in enumerate((ops[k] @ space).columns()) if col.any()]
+                if not hit:
+                    continue
+                sub = {d: Matrix.from_columns(F, [list(space.columns())[hit[0]]], rows_dim=dim)}
+                w, v = (sub, {}) if side == 1 else ({}, sub)
+                with pytest.raises(ValueError, match=rf"^{name} at degree {d} is not killed by {var}$"):
+                    HorrocksTriple(t.pres, t.T, w, v).validate()
+                seen.add((name, var))
+    assert seen == {("W", "u"), ("W", "v"), ("V", "s"), ("V", "t")}
+
+
 def test_triple_iso_finds_conjugated_subspaces():
     # move W and V by the companion action of a random module automorphism;
     # the search must recover an isomorphism of triples
@@ -281,11 +300,11 @@ def test_triple_iso_finds_conjugated_subspaces():
     phi0 = _phi0_from_maps(t, t, maps)
     w2 = {}
     for d, basis in t.W.items():
-        ind = t.T.m10[d].proj @ (induced_h(phi0, 0, (d + 1, d)) @ t.T.m10[d].reps)
+        ind = t.T.fam[1][d].proj @ (induced_h(phi0, 0, (d + 1, d)) @ t.T.fam[1][d].reps)
         w2[d] = ind @ basis
     v2 = {}
     for d, basis in t.V.items():
-        ind = t.T.m01[d].proj @ (induced_h(phi0, 0, (d, d + 1)) @ t.T.m01[d].reps)
+        ind = t.T.fam[2][d].proj @ (induced_h(phi0, 0, (d, d + 1)) @ t.T.fam[2][d].reps)
         v2[d] = ind @ basis
     moved = HorrocksTriple(t.pres, t.T, w2, v2).validate()
     assert triple_iso(t, moved, trials=100, rng=random.Random(78)) is not None
@@ -437,7 +456,7 @@ def test_constrained_basis_ignores_w_where_the_target_has_no_companion_piece():
     m2 = FinLengthModule(F2, {-1: 1, 0: 1}, {(0, -1): zero, (1, -1): one, (2, -1): one, (3, -1): zero})
     t1 = HorrocksTriple.build(m1, {0: [[1, 0]]}, {0: [[0, 1]]})
     t2 = HorrocksTriple.build(m2, {}, {})
-    assert 0 in t1.T.m10 and 0 in t1.T.m01 and 0 not in t2.T.m10 and 0 not in t2.T.m01
+    assert 0 in t1.T.fam[1] and 0 in t1.T.fam[2] and 0 not in t2.T.fam[1] and 0 not in t2.T.fam[2]
     basis, layout = _commuting_space(m1, m2)
     got = _subspace_constrained_basis(t1, t2, basis, layout)
     n = sum(n2 * n1 for _, n2, n1 in layout.values())

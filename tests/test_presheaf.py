@@ -109,7 +109,6 @@ def test_empty_source_onto_a_nonzero_target_rejected():
 
 def test_omega1_h1_model_dims():
     p = omega1()
-    assert p.gamma_form
     assert p.h1_model((0, 0)).dim == 1
     assert p.h1_model((1, 1)).dim == 0
     # no sections of the target at strongly negative shifts

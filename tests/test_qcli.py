@@ -311,6 +311,11 @@ def test_cli_rejects_composite_field(capsys):
     "argv, says",
     [
         (["random-module", "--dims=-1@0"], "negative dimension -1"),
+        (["random-triple", "--dims", "1@0,2@0", "--seed", "1"], "--dims chunk '2@0' repeats degree 0"),
+        (["random-module", "--dims", "0@1,1@0,1@+1"], "--dims chunk '1@+1' repeats degree 1"),
+        (["random-triple", "--dims", "1@0,x"], "invalid --dims chunk 'x'"),
+        (["random-module", "--dims", "1@0,,1@1"], "invalid --dims chunk ''"),
+        (["random-module", "--dims", "1@0@1"], "invalid --dims chunk '1@0@1'"),
         (["iso", "example:o-20", "example:o-20", "--trials", "0"], "trials must be at least 1"),
         (["roundtrip", "TRIPLE", "--trials=-3"], "trials must be at least 1"),
         (["cohomology", "example:o-20", "--window=2..-2"], "invalid window '2..-2'"),
