@@ -38,7 +38,6 @@ from .flmod import (
     minimal_generators,
     minimal_presentation,
     module_from_bundle,
-    module_iso,
     sigma_modules,
     socle_subspace,
 )

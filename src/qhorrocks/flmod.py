@@ -23,12 +23,11 @@ each side, and the two operators per piece whose common kernel is the socle.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exactla import FieldMismatch, Matrix, QhorrocksError, hstack, quotient_data
+from .exactla import Matrix, QhorrocksError, hstack, quotient_data
 from .bipoly import BiForm, monomial_basis
 from .linecoh import FormMatrix, SplitBundle, h0_mult_on_split, spinor_shift, split_h
 from .presheaf import CokerModel, KerPresentation, MonadPresentation, VerificationFailed, support_window
@@ -361,7 +360,7 @@ def socle_subspace(t: CompanionModules, side: int) -> dict[int, Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism of modules
+# commuting maps of modules
 
 
 def _commuting_space(m1: FinLengthModule, m2: FinLengthModule) -> tuple[list, dict]:
@@ -396,50 +395,3 @@ def _commuting_space(m1: FinLengthModule, m2: FinLengthModule) -> tuple[list, di
 
 def _vec_to_maps(fld, vec, layout) -> dict[int, Matrix]:
     return {d: Matrix(fld, vec[off : off + n2 * n1].reshape(n2, n1).copy()) for d, (off, n2, n1) in layout.items()}
-
-
-def _check_trials(trials: int):
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-def _sample_iso(m1: FinLengthModule, basis, layout, trials: int, rng, accept):
-    """First random combination of `basis` that is invertible in every degree and accepted.
-
-    Each trial draws one scalar per basis vector, in basis order.  Returns
-    (trial number, degreewise maps, accept(maps)) for the first trial whose
-    maps are invertible and where accept returns something other than None;
-    None if no trial succeeds.
-    """
-    if not basis:
-        return None
-    fld = m1.field
-    stacked = Matrix.from_columns(fld, basis)
-    for trial in range(1, trials + 1):
-        vec = stacked @ [fld.random_scalar(rng) for _ in basis]
-        maps = _vec_to_maps(fld, vec, layout)
-        if all(maps[d].rank() == m1.dim(d) for d in m1.support()):
-            found = accept(maps)
-            if found is not None:
-                return trial, maps, found
-    return None
-
-
-def module_iso(m1: FinLengthModule, m2: FinLengthModule, trials: int = 200, rng=None):
-    """A degreewise isomorphism commuting with all four operators, or None.
-
-    The commuting maps form a linear space, and random combinations are
-    sampled until one is invertible in every degree.  None therefore means
-    "no isomorphism found", which is conclusive only when the dimensions
-    already disagree.
-    """
-    _check_trials(trials)
-    if m1.field != m2.field:
-        raise FieldMismatch(f"{m1.field} vs {m2.field}")
-    if m1.dims != m2.dims:
-        return None
-    if m1.is_zero:
-        return {}
-    basis, layout = _commuting_space(m1, m2)
-    found = _sample_iso(m1, basis, layout, trials, rng or random.Random(11), lambda maps: maps)
-    return None if found is None else found[1]

@@ -52,8 +52,8 @@ from .presheaf import (
     InternalInvariantViolation,
     KerPresentation,
     MonadPresentation,
+    NotGammaForm,
     VerificationFailed,
-    _candidate_acm_twists,
     delta_matrix,
     find_acm_summand,
     solve_form_system,
@@ -64,9 +64,7 @@ from .flmod import (
     ModelledModule,
     KILLERS,
     CompanionModules,
-    _check_trials,
     _commuting_space,
-    _sample_iso,
     _vec_to_maps,
     minimal_presentation,
     module_from_bundle,
@@ -76,12 +74,6 @@ from .flmod import (
 
 class NotMinimalGamma(QhorrocksError, ValueError):
     """Input presentation still carries ACM summands or a non-minimal shape."""
-
-    exit_code = 3
-
-
-class NotGammaForm(QhorrocksError, ValueError):
-    """Kernel presentation whose middle term is not a sum of ACM twists."""
 
     exit_code = 3
 
@@ -409,6 +401,11 @@ class TripleIsoWitness:
     trials_used: int
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def triple_iso(t1: HorrocksTriple, t2: HorrocksTriple, trials: int = 200, rng=None):
     """A module isomorphism matching both subspaces, or None after the trials.
 
@@ -417,7 +414,10 @@ def triple_iso(t1: HorrocksTriple, t2: HorrocksTriple, trials: int = 200, rng=No
     V' (the induced action on each companion piece is linear in the map).
     The search solves for that subspace exactly and then samples it for an
     element invertible in every degree, so only invertibility is randomised.
-    None is a negative search report, not a proof of non-isomorphism.
+    Each trial draws one scalar per admissible basis vector, in basis order,
+    and the first trial whose maps are invertible in every degree and lift
+    to a chain map matching both subspaces wins.  None is a negative search
+    report, not a proof of non-isomorphism.
     """
     _check_trials(trials)
     m1, m2 = t1.module, t2.module
@@ -434,27 +434,29 @@ def triple_iso(t1: HorrocksTriple, t2: HorrocksTriple, trials: int = 200, rng=No
         return TripleIsoWitness({}, empty, empty, 0)
     basis, layout = _commuting_space(m1, m2)
     admissible = _subspace_constrained_basis(t1, t2, basis, layout)
-    found = _sample_iso(
-        m1, admissible, layout, trials, rng or random.Random(101), lambda maps: _try_lift_and_match(t1, t2, maps)
-    )
-    if found is None:
+    if not admissible:
         return None
-    trial, maps, (phi0, phi1) = found
-    return TripleIsoWitness(maps, phi0, phi1, trial)
+    rng = rng or random.Random(101)
+    fld = m1.field
+    stacked = Matrix.from_columns(fld, admissible)
+    for trial in range(1, trials + 1):
+        maps = _vec_to_maps(fld, stacked @ [fld.random_scalar(rng) for _ in admissible], layout)
+        if all(maps[d].rank() == m1.dim(d) for d in m1.support()):
+            found = _try_lift_and_match(t1, t2, maps)
+            if found is not None:
+                return TripleIsoWitness(maps, *found, trial)
+    return None
 
 
-def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]) -> FormMatrix | None:
+def _phi0_from_maps(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]) -> FormMatrix:
     """Chain-map head L0 -> L0' covering the given degreewise module maps.
 
-    Generator columns are lifted through the target surjection; the lift is
-    linear in the maps because the particular solution of a fixed matrix is.
+    Generator columns are lifted through the target surjection, which is
+    onto M_d in every degree by construction, so each lift exists; the lift
+    is linear in the maps because the particular solution of a fixed matrix
+    is.
     """
-    sections = []
-    for d, gvec in t1.pres.generators:
-        try:
-            sections.append(t2.pres.pi_at(d).solve(maps[d] @ gvec))
-        except NoSolution:
-            return None
+    sections = [t2.pres.pi_at(d).solve(maps[d] @ gvec) for d, gvec in t1.pres.generators]
     return FormMatrix.from_sections(t1.module.field, t1.pres.L0, t2.pres.L0, sections)
 
 
@@ -492,8 +494,6 @@ def _subspace_constrained_basis(t1, t2, basis, layout):
 
 def _try_lift_and_match(t1: HorrocksTriple, t2: HorrocksTriple, maps: dict[int, Matrix]):
     phi0 = _phi0_from_maps(t1, t2, maps)
-    if phi0 is None:
-        return None
     try:
         phi1 = solve_form_system(t2.pres.psi, phi0.compose(t1.pres.psi))
     except NoSolution:
@@ -551,18 +551,15 @@ def four_term_check(rep: KerPresentation, extraction: Extraction) -> dict:
 def monad_has_acm_summand(monad: MonadPresentation) -> bool:
     """Conservative split test for monads.
 
-    Zero Hom in either direction certifies a twist off the summand list;
-    when both Hom spaces are nonzero the composition pairing is evaluated on
-    the representatives carried by the middle term, which detects every
-    split the middle term can see.
+    The composition pairing is evaluated on the representatives carried by
+    the middle term, which detects every split the middle term can see.  A
+    composite O(l) -> A -> O(l) is a constant only through a summand of A of
+    twist exactly l (constant_pairing), so the pairing is empty at every
+    other twist and only the ACM twists of A are tried, in ascending order.
     """
     if monad.rank <= 0:
         return False
-    dual = MonadPresentation(monad.psi.dual(), monad.kappa.dual(), verify=False)
-    for x, y in _candidate_acm_twists((*monad.A, *monad.K)):
-        if monad.h0_dim((-x, -y)) and dual.h0_dim((x, y)) and _monad_pairing_nonzero(monad, (x, y)):
-            return True
-    return False
+    return any(_monad_pairing_nonzero(monad, l) for l in sorted({t for t in monad.A if is_acm_twist(t)}))
 
 
 def _monad_pairing_nonzero(monad: MonadPresentation, l: Twist) -> bool:

@@ -75,6 +75,12 @@ class NotSurjective(QhorrocksError, ValueError):
     exit_code = 2
 
 
+class NotGammaForm(QhorrocksError, ValueError):
+    """A monad, or a kernel presentation whose middle term is not a sum of ACM twists."""
+
+    exit_code = 3
+
+
 class VerificationFailed(QhorrocksError, RuntimeError):
     """A recomputation check (table additivity, module match) failed."""
 
@@ -350,6 +356,8 @@ def strip_acm(p: KerPresentation):
     middle term shrinks by one summand per round.  Each removal is verified
     by table additivity h^i(E) = h^i(E') + h^i(O(t)) over the twist window.
     """
+    if isinstance(p, MonadPresentation):
+        raise NotGammaForm("summand stripping applies to gamma-form bundle files")
     if not all(is_free_twist(t) for t in p.B):
         raise VerificationFailed("summand stripping needs a free target")
     removed: list[Twist] = []

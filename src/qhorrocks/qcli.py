@@ -27,7 +27,7 @@ import re
 import sys
 
 from .exactla import DEFAULT_PRIME, QhorrocksError, get_field
-from .presheaf import MonadPresentation, strip_acm
+from .presheaf import strip_acm
 from .horrocks import HorrocksTriple, extract_invariants, roundtrip, synthesize, triple_iso
 from .generate import random_module, random_triple
 from .stability import le_potier_check
@@ -159,8 +159,6 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_strip_acm(args) -> int:
     rep = _load_bundle(args.bundle, args)
-    if isinstance(rep, MonadPresentation):
-        raise CliError("summand stripping applies to gamma-form bundle files", 3)
     stripped, removed = strip_acm(rep)
     for t in removed:
         print(f"# removed O{t}", file=sys.stderr)
@@ -185,8 +183,6 @@ def cmd_iso(args) -> int:
 
 def cmd_stability(args) -> int:
     rep = _load_bundle(args.bundle, args)
-    if isinstance(rep, MonadPresentation):
-        raise CliError("stability report needs a gamma-form bundle file", 3)
     report = le_potier_check(rep)
     pairs = [
         ("h0", report.h0),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .bipoly import BiForm, deg_add
 from .exactla import PrimeField, QhorrocksError
 from .linecoh import FormMatrix, coh_action, spinor_kind
-from .presheaf import KerPresentation
+from .presheaf import KerPresentation, MonadPresentation
 
 
 class ShapeMismatch(QhorrocksError, ValueError):
@@ -63,6 +63,8 @@ class StabilityReport:
 
 def le_potier_check(p: KerPresentation) -> StabilityReport:
     """The three section counts deciding stability of a rank-2, c1 = 0 kernel."""
+    if isinstance(p, MonadPresentation):
+        raise ShapeMismatch("stability report needs a gamma-form bundle file")
     if p.rank != 2:
         raise ShapeMismatch(f"rank {p.rank} presentation, need rank 2")
     c1 = tuple(sum(t[k] for t in p.A) - sum(t[k] for t in p.B) for k in (0, 1))

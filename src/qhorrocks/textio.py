@@ -211,7 +211,7 @@ def format_bundle_text(rep) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_bundle_text(text: str, verify: bool = True):
+def parse_bundle_text(text: str):
     lines = text.splitlines()
     field, kind = _parse_header(lines)
     if kind not in ("bundle gamma", "bundle monad"):
@@ -239,10 +239,10 @@ def parse_bundle_text(text: str, verify: bool = True):
     b = _twists_from_text(sections["B"])
     g = _rows_from_lines(field, list(sections.get("g", [])), a, b)
     if kind == "bundle gamma":
-        return KerPresentation(g, verify=verify)
+        return KerPresentation(g)
     k = _twists_from_text(sections.get("K", ""))
     kappa = _rows_from_lines(field, list(sections.get("kappa", [])), k, a)
-    return MonadPresentation(kappa, g, verify=verify)
+    return MonadPresentation(kappa, g)
 
 
 # ---------------------------------------------------------------------------

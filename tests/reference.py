@@ -15,7 +15,7 @@ import numpy as np
 from qhorrocks.bipoly import BiForm, deg_add
 from qhorrocks import exactla
 from qhorrocks.exactla import Matrix, NoSolution, hstack
-from qhorrocks.linecoh import FormMatrix, coh_basis, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
+from qhorrocks.linecoh import FormMatrix, coh_basis, constant_pairing, induced_h, kunneth_dim, spinor_shift, split_dim, split_dims
 from qhorrocks.presheaf import (
     InternalInvariantViolation,
     KerPresentation,
@@ -232,6 +232,27 @@ def find_acm_summand_ungated(p):
         scaled = p.field.reduce(pi.section(0) * p.field.inv(pairing.a[i, j]))
         return twist, phis[i], FormMatrix.from_sections(p.field, pi.src, pi.dst, [scaled]).dual()
     return None
+
+
+def monad_has_acm_summand_windowed(monad) -> bool:
+    """monad_has_acm_summand as a gated scan of the whole square twist window.
+
+    Every ACM twist l of the window spanned by the twists of A and K is
+    tried, in ascending order.  l counts only where both Hom spaces are
+    nonzero, h0(E(-l)) on the monad and h0 at l of the dual monad; there the
+    composition pairing of the sections of ker(psi)(-l) with the cosections
+    of A vanishing on kappa decides.
+    """
+    if monad.rank <= 0:
+        return False
+    dual = MonadPresentation(monad.psi.dual(), monad.kappa.dual(), verify=False)
+    for x, y in _candidate_acm_twists((*monad.A, *monad.K)):
+        if monad.h0_dim((-x, -y)) and dual.h0_dim((x, y)):
+            sections = monad.fbar.h0_space((-x, -y))
+            cosections = induced_h(monad.kappa.dual(), 0, (x, y)).kernel_matrix()
+            if not constant_pairing(monad.A, (x, y), sections, cosections).is_zero():
+                return True
+    return False
 
 
 def lift_lambda(psi: FormMatrix, gamma) -> FormMatrix:

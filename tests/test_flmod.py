@@ -10,6 +10,7 @@ from qhorrocks.bipoly import BiForm, parse_biform
 from qhorrocks.linecoh import FormMatrix, spinor_shift
 from qhorrocks.presheaf import KerPresentation, MonadPresentation, PrereqVanishingFailed
 from qhorrocks.generate import random_module
+from qhorrocks.horrocks import HorrocksTriple, triple_iso
 from qhorrocks.flmod import (
     X_FORMS,
     FinLengthModule,
@@ -17,7 +18,6 @@ from qhorrocks.flmod import (
     minimal_generators,
     minimal_presentation,
     module_from_bundle,
-    module_iso,
     sigma_modules,
     socle_subspace,
 )
@@ -191,7 +191,7 @@ def test_minimal_presentation_roundtrip_dims():
     mm = module_from_bundle(pres.F)
     assert {d: mm.module.dim(d) for d in mm.module.support()} == {0: 1, 1: 1}
     # and the recovered operators act the same after the canonical iso
-    iso = module_iso(m, mm.module, trials=50, rng=random.Random(1))
+    iso = triple_iso(bare(m), bare(mm.module), trials=50, rng=random.Random(1))
     assert iso is not None
 
 
@@ -383,25 +383,32 @@ def test_socle_annihilation_property(F, side):
         assert basis.cols == model.dim - stacked.rank() == basis.rank()
 
 
-def test_module_iso_self():
+# isomorphism of bare modules: triple_iso on triples with W = V = 0
+
+
+def bare(m: FinLengthModule) -> HorrocksTriple:
+    return HorrocksTriple.build(m, {}, {})
+
+
+def test_triple_iso_of_a_bare_module_with_itself():
     m = _quotient_module(random.Random(9), {0: 2, 1: 2})
-    iso = module_iso(m, m, trials=50, rng=random.Random(2))
+    iso = triple_iso(bare(m), bare(m), trials=50, rng=random.Random(2))
     assert iso is not None
     for d in m.support():
-        assert iso[d].rank() == m.dim(d)
+        assert iso.maps[d].rank() == m.dim(d)
 
 
-def test_module_iso_degree_mismatch():
-    assert module_iso(k_module((0, 1)), k_module((1, 1))) is None
+def test_triple_iso_of_bare_modules_with_different_degrees():
+    assert triple_iso(bare(k_module((0, 1))), bare(k_module((1, 1)))) is None
 
 
-def test_module_iso_rejects_modules_over_different_fields():
+def test_triple_iso_rejects_bare_modules_over_different_fields():
     with pytest.raises(FieldMismatch):
-        module_iso(k_module((0, 1)), FinLengthModule(PrimeField(7), {0: 1}, {}))
+        triple_iso(bare(k_module((0, 1))), bare(FinLengthModule(PrimeField(7), {0: 1}, {})))
 
 
 @pytest.mark.parametrize("F", [F, PrimeField(5), RationalField()], ids=lambda f: f.name)
-def test_module_iso_conjugated(F):
+def test_triple_iso_of_conjugated_bare_modules(F):
     m = _quotient_module(random.Random(13), {0: 2, 1: 3}, F)
     rng = random.Random(4)
     # conjugate by random invertible degreewise maps
@@ -422,13 +429,13 @@ def test_module_iso_conjugated(F):
         else:
             ops[(k, d)] = op
     m2 = FinLengthModule(F, dict(m.dims), ops).validate()
-    iso = module_iso(m, m2, trials=200, rng=random.Random(6))
+    iso = triple_iso(bare(m), bare(m2), trials=200, rng=random.Random(6))
     assert iso is not None
     for d in m.support():
         if m.dim(d + 1) == 0:
             continue
         for k in range(4):
-            assert (iso[d + 1] @ m.op(k, d)) == (m2.op(k, d) @ iso[d])
+            assert (iso.maps[d + 1] @ m.op(k, d)) == (m2.op(k, d) @ iso.maps[d])
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip"

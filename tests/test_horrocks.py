@@ -1,13 +1,16 @@
+import functools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qhorrocks import textio
-from qhorrocks.exactla import DEFAULT_PRIME, Matrix, PrimeField, RationalField, subspace_equal
-from qhorrocks.bipoly import parse_biform
-from qhorrocks.linecoh import FormMatrix, form_hstack
+from qhorrocks.exactla import DEFAULT_PRIME, Matrix, NoSolution, PrimeField, RationalField, get_field, subspace_equal
+from qhorrocks.bipoly import BiForm, monomial_basis, parse_biform
+from qhorrocks.generate import random_triple
+from qhorrocks.linecoh import FormMatrix, form_hstack, form_vstack, is_acm_twist
 from qhorrocks.fixtures import fixture_names, load_fixture
 from qhorrocks.presheaf import KerPresentation, MonadPresentation, line_bundle_table, solve_form_system, strip_acm
 from qhorrocks.flmod import FinLengthModule, minimal_presentation, module_from_bundle, sigma_modules
@@ -24,7 +27,7 @@ from qhorrocks.horrocks import (
     synthesize,
     triple_iso,
 )
-from reference import augmented_solve
+from reference import augmented_solve, form_compose, monad_has_acm_summand_windowed
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -468,3 +471,91 @@ def test_constrained_basis_ignores_w_where_the_target_has_no_companion_piece():
         basis, layout = _commuting_space(a.module, b.module)
         n = sum(n2 * n1 for _, n2, n1 in layout.values())
         assert span_over_f2(_subspace_constrained_basis(a, b, basis, layout), n) == enumerated_hom(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the monad split test against the gated window scan it replaced
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_monad(name):
+    return textio.parse_bundle_text((ROUNDTRIP_CORPUS / name).read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _synthesized_monad(field_name, seed, dims):
+    field = get_field(field_name)
+    return synthesize(random_triple(field, random.Random(seed), dict(dims)), rng=random.Random(seed))
+
+
+def planted_split(monad, l, rng, hidden):
+    """The monad with O(l) added to its middle term, so E gains O(l) as a summand.
+
+    kappa gets a zero row.  The zero pad gives the new column of psi as zero;
+    the hidden pad gives it as psi composed with random forms O(l) -> A,
+    multiplied out on coefficient dicts, so ker psi gains the section
+    (-forms, 1) and the split is not visible column by column.
+    """
+    fld = monad.field
+    kappa = form_vstack([monad.kappa, FormMatrix.zero(fld, monad.K, (l,))])
+    if not hidden:
+        return MonadPresentation(kappa, form_hstack([monad.psi, FormMatrix.zero(fld, (l,), monad.B)]), verify=False)
+    rows = []
+    for a in monad.A:
+        deg = (a[0] - l[0], a[1] - l[1])
+        rows.append([BiForm.make(fld, deg, {m: fld.random_scalar(rng) for m in monomial_basis(deg)})])
+    column = form_compose(monad.psi, FormMatrix.make(fld, (l,), monad.A, rows))
+    return MonadPresentation(kappa, form_hstack([monad.psi, column]), verify=False)
+
+
+@st.composite
+def monads_to_scan(draw):
+    """(monad, planted): a corpus or synthesized monad, with a split planted at an ACM twist of A or not."""
+    if draw(st.booleans()):
+        monad = _corpus_monad(draw(st.sampled_from(sorted(f.name for f in ROUNDTRIP_CORPUS.glob("*.monad")))))
+    else:
+        field = draw(st.sampled_from(["2", "5", str(DEFAULT_PRIME), "rationals"]))
+        dims = draw(st.sampled_from([((0, 1),), ((0, 2), (1, 1)), ((-1, 1), (0, 1))]))
+        monad = _synthesized_monad(field, draw(st.integers(0, 7)), dims)
+    pad = draw(st.sampled_from(["none", "zero", "hidden"]))
+    if pad == "none":
+        return monad, False
+    l = draw(st.sampled_from(sorted({t for t in monad.A if is_acm_twist(t)})))
+    return planted_split(monad, l, random.Random(draw(st.integers(0, 2**16))), pad == "hidden"), True
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(monads_to_scan())
+def test_monad_split_scan_answers_as_the_gated_window_scan(case):
+    monad, planted = case
+    got = monad_has_acm_summand(monad)
+    assert got is planted
+    assert got is monad_has_acm_summand_windowed(monad)
+
+
+def test_monad_split_scan_builds_no_monad_and_reads_no_h0_dim(monkeypatch):
+    monad = _corpus_monad("t11.monad")
+    padded = planted_split(monad, monad.A[0], random.Random(3), hidden=True)
+    built, read = [], []
+    init = MonadPresentation.__init__
+    monkeypatch.setattr(MonadPresentation, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    for cls in (MonadPresentation, KerPresentation):
+        monkeypatch.setattr(cls, "h0_dim", lambda self, e, h0=cls.h0_dim: read.append(e) or h0(self, e))
+    assert not monad_has_acm_summand(monad)
+    assert monad_has_acm_summand(padded)
+    assert built == [] and read == []
+    # the spies do see the window scan's dual monad and Hom gates
+    assert not monad_has_acm_summand_windowed(monad)
+    assert len(built) == 1 and read
+
+
+def test_a_lift_that_does_not_solve_propagates_from_triple_iso(monkeypatch):
+    # pi_at(d) is onto M_d, so _phi0_from_maps always lifts; a failed solve there is a fault, not a "no"
+    t = extract_invariants(case_presentation("case5")).triple
+
+    def unsolvable(self, rhs):
+        raise NoSolution("injected")
+
+    monkeypatch.setattr(Matrix, "solve", unsolvable)
+    with pytest.raises(NoSolution, match="injected"):
+        triple_iso(t, t, trials=5, rng=random.Random(1))

@@ -36,6 +36,7 @@ from qhorrocks.presheaf import (
     InternalInvariantViolation,
     KerPresentation,
     MonadPresentation,
+    NotGammaForm,
     NotSurjective,
     PrereqVanishingFailed,
     delta_matrix,
@@ -426,6 +427,13 @@ def test_strip_acm_on_free_bundle_strips_everything():
     stripped, removed = strip_acm(p)
     assert sorted(removed) == [(0, 0), (1, 1)]
     assert stripped.rank == 0
+
+
+def test_strip_acm_refuses_a_monad_with_an_exit3_error():
+    monad = textio.parse_bundle_text((CORPUS / "t00.monad").read_text())
+    with pytest.raises(NotGammaForm, match="^summand stripping applies to gamma-form bundle files$") as info:
+        strip_acm(monad)
+    assert info.value.exit_code == 3
 
 
 def test_prereq_vanishing_guard():

@@ -36,7 +36,7 @@ def test_module_file_roundtrip():
 def test_bundle_file_roundtrip():
     rep = fixtures.load_fixture("lepotier", F)
     text = textio.format_bundle_text(rep)
-    rep2 = textio.parse_bundle_text(text, verify=False)
+    rep2 = textio.parse_bundle_text(text)
     assert textio.format_bundle_text(rep2) == text
 
 
@@ -46,7 +46,7 @@ def test_monad_file_roundtrip():
     ext = extract_invariants(fixtures.load_fixture("o-20", F))
     monad = synthesize(ext.triple, rng=random.Random(2))
     text = textio.format_bundle_text(monad)
-    monad2 = textio.parse_bundle_text(text, verify=False)
+    monad2 = textio.parse_bundle_text(text)
     assert textio.format_bundle_text(monad2) == text
 
 
@@ -61,7 +61,7 @@ def test_fixture_files_all_roundtrip():
     for name in fixtures.fixture_names():
         rep = fixtures.load_fixture(name, F)
         text = textio.format_bundle_text(rep)
-        assert textio.format_bundle_text(textio.parse_bundle_text(text, verify=False)) == text
+        assert textio.format_bundle_text(textio.parse_bundle_text(text)) == text
 
 
 def test_cli_cohomology_omega1(capsys):
@@ -125,7 +125,7 @@ def test_cli_strip_then_invariants(capsys, tmp_path):
     code, out, err = run_cli(capsys, "strip-acm", str(path))
     assert code == 0
     assert "removed O(1, 0)" in err
-    stripped = textio.parse_bundle_text(out, verify=False)
+    stripped = textio.parse_bundle_text(out)
     assert len(stripped.A) == 4
 
 
@@ -136,7 +136,7 @@ def test_cli_synthesize_and_roundtrip(capsys, tmp_path):
     path.write_text(out)
     code, out2, err = run_cli(capsys, "synthesize", str(path), "--seed", "4")
     assert code == 0
-    monad = textio.parse_bundle_text(out2, verify=False)
+    monad = textio.parse_bundle_text(out2)
     assert monad.rank == 1
     code, out3, err = run_cli(capsys, "roundtrip", str(path), "--trials", "150", "--seed", "5")
     assert code == 0
@@ -166,6 +166,16 @@ def test_cli_stability(capsys):
 def test_cli_stability_rank_guard(capsys):
     code, out, err = run_cli(capsys, "stability", "example:omega1")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, says",
+    [("strip-acm", "summand stripping applies to gamma-form bundle files"), ("stability", "stability report needs a gamma-form bundle file")],
+)
+def test_cli_refuses_a_monad_file_where_a_gamma_form_is_needed(capsys, command, says):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip" / "t00.monad"
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out, err) == (3, "", f"precondition: {says}\n")
 
 
 def test_cli_random_module_k0(capsys):

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from qhorrocks.exactla import DEFAULT_PRIME, PrimeField, RationalField
 from qhorrocks.bipoly import parse_biform
 from qhorrocks.fixtures import load_fixture
 from qhorrocks.linecoh import FormMatrix, spinor_kind
+from qhorrocks import textio
 from qhorrocks.presheaf import KerPresentation
 from qhorrocks.stability import ShapeMismatch, jumping_determinants, le_potier_check
 from reference import leibniz_det
@@ -200,3 +202,11 @@ def test_rational_roots_match_the_prime_field(text, root):
     assert len(over_q.roots) == len(over_p.roots)
     assert ((Fraction(*root), 1), 1) in over_q.roots
     assert ((p.scalar(root[0] * p.inv(root[1])), 1), 1) in over_p.roots
+
+
+def test_le_potier_check_refuses_a_monad():
+    # t00 has rank 2, and c1 read off A and B alone would be (-14, -14); K makes it (-4, -4)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "roundtrip" / "t00.monad"
+    with pytest.raises(ShapeMismatch, match="^stability report needs a gamma-form bundle file$") as info:
+        le_potier_check(textio.parse_bundle_text(path.read_text()))
+    assert info.value.exit_code == 3
